@@ -98,19 +98,24 @@ class RoundsResult:
     #: simulated config, in execution order (the same order every round)
     round_walls: list[tuple[float, list[float]]] = field(default_factory=list)
 
-    def round_seconds(self) -> float:
-        """A round's host time, from the fastest of the run's rounds for
-        each config, plus the fastest round's time outside simulation.
+    def fastest_config_walls(self) -> list[float]:
+        """Each config's fastest wall seconds over the run's rounds.
         Every round repeats the same work, and load from elsewhere on the
         host only ever slows a piece of work down, so the fastest sample
         of each piece is the steadiest."""
-        per_config = list(zip(*(walls for _total, walls in self.round_walls)))
+        per_config = zip(*(walls for _total, walls in self.round_walls))
+        return [min(samples) for samples in per_config]
+
+    def round_seconds(self) -> float:
+        """A round's host time: each config's fastest simulation plus the
+        fastest round's time outside simulation."""
         outside = min(total - sum(walls) for total, walls in self.round_walls)
-        return sum(min(samples) for samples in per_config) + outside
+        return sum(self.fastest_config_walls()) + outside
 
     def fastest_rounds_walls(self, min_jobs: int) -> list[float]:
         """The per-config walls of the run's fastest rounds, as few rounds
-        as hold *min_jobs* jobs (the steadiest sample, as above)."""
+        as hold *min_jobs* jobs: the steadiest sample of a percentile
+        that needs more samples than a round has configs."""
         walls: list[float] = []
         for _total, round_walls in sorted(self.round_walls, key=lambda rw: rw[0]):
             walls += round_walls
