@@ -116,6 +116,7 @@ class FileContext:
         are resolved against this file's package when known.
         """
         table: dict[str, str] = {}
+        package = list(self.module_parts[:-1])
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -125,8 +126,10 @@ class FileContext:
             elif isinstance(node, ast.ImportFrom):
                 base = node.module or ""
                 if node.level:  # relative: resolve against our package
-                    pkg = list(self.module_parts[:-1])
-                    pkg = pkg[: len(pkg) - (node.level - 1)] if node.level > 1 else pkg
+                    pkg = (
+                        package[: len(package) - (node.level - 1)]
+                        if node.level > 1 else package
+                    )
                     base = ".".join(pkg + ([base] if base else []))
                 for alias in node.names:
                     if alias.name == "*":

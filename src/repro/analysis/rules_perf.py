@@ -1,6 +1,7 @@
 """Hot-path contract rules: PERF001 (``__slots__`` discipline), PERF002
-(no per-iteration closure allocation) and PERF003 (no per-repetition
-Python loops in fused-path code).
+(no per-iteration closure allocation), PERF003 (no per-repetition
+Python loops in fused-path code) and PERF004 (no loop-invariant
+container rebuilds inside loops).
 
 The PR 5 engine overhaul bought its 2.2-2.8x by making the event loop
 allocation-free: slotted instances and one reusable trampoline per
@@ -232,4 +233,121 @@ class NoRepLoopInFusedPath(Rule):
             node,
             f"per-repetition loop over range({name}) in {where} walks "
             f"the rep axis in Python",
+        )
+
+
+#: Container constructors whose call copies their argument in full.
+_REBUILT_CONTAINERS = frozenset({"set", "list", "dict"})
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SCOPE_BOUNDARIES = (
+    ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda,
+)
+
+
+def _root_name(node: ast.AST) -> str | None:
+    """``a`` for ``a``, ``a.b.c`` and ``a[i].b``; ``None`` otherwise."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _names_bound(nodes: list[ast.AST]) -> set[str]:
+    """Names a loop rebinds or mutates on every iteration: targets of
+    assignments, ``for`` targets, walrus targets, ``del`` statements, and
+    receivers of method calls or item stores (``a.append(x)``,
+    ``a[k] = v``), all by their root name."""
+    out: set[str] = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute, ast.Subscript)):
+                if isinstance(node.ctx, (ast.Store, ast.Del)):
+                    root = _root_name(node)
+                    if root is not None:
+                        out.add(root)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                root = _root_name(node.func.value)
+                if root is not None:
+                    out.add(root)
+    return out
+
+
+def _loop_varying(parents: list[ast.AST], call: ast.AST) -> set[str] | None:
+    """Names that vary per iteration of the innermost loop that evaluates
+    *call* once per iteration, or ``None`` when no loop in the enclosing
+    scope does (a ``for`` iterable or a comprehension's first iterable is
+    evaluated once, before the loop starts)."""
+    child = call
+    for i in range(len(parents) - 1, -1, -1):
+        parent = parents[i]
+        if isinstance(parent, _SCOPE_BOUNDARIES):
+            return None
+        if isinstance(parent, (ast.For, ast.AsyncFor)):
+            if child in parent.body:
+                return _names_bound([parent.target, *parent.body])
+        elif isinstance(parent, ast.While):
+            if child is parent.test or child in parent.body:
+                return _names_bound(parent.body)
+        elif isinstance(parent, _COMPREHENSIONS):
+            if child is not parent.generators[0]:
+                # the element: evaluated per item
+                return _names_bound(parent.generators)
+        elif isinstance(parent, ast.comprehension):
+            owner = parents[i - 1]
+            if child is not parent.iter or parent is not owner.generators[0]:
+                # a condition, or a later generator's iterable: per item
+                return _names_bound(owner.generators)
+        child = parent
+    return None
+
+
+@register_rule
+class NoInvariantRebuildInLoop(Rule):
+    """PERF004: no loop-invariant ``set/list/dict(...)`` rebuilt per iteration."""
+
+    id = "PERF004"
+    title = "no loop-invariant set/list/dict rebuilt inside a loop"
+    rationale = (
+        "A set(...), list(...) or dict(...) conversion copies its whole "
+        "argument.  Inside a loop body or a comprehension condition whose "
+        "loop never changes that argument, the copy is rebuilt on every "
+        "iteration for the same result: `c not in set(same_numa)` inside "
+        "a comprehension over a 256-cpu pool made wakeup placement "
+        "quadratic in machine size.  The cost hides in the per-iteration "
+        "constant, so results never reveal it."
+    )
+    fix_hint = (
+        "build the container once before the loop (or cache it on the "
+        "object when its input is frozen) and reuse it inside"
+    )
+    packages = None
+    node_types = (ast.Call,)
+
+    def visit(
+        self, node: ast.Call, ctx: FileContext, state: WalkState,
+        report: Reporter,
+    ) -> None:
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id in _REBUILT_CONTAINERS):
+            return
+        if len(node.args) != 1 or node.keywords:
+            return
+        arg = node.args[0]
+        if any(
+            isinstance(sub, (ast.Call, ast.NamedExpr, ast.Lambda, *_COMPREHENSIONS))
+            for sub in ast.walk(arg)
+        ):
+            return  # may differ between evaluations even with fixed names
+        varying = _loop_varying(state.parents, node)
+        if varying is None:
+            return
+        names = {
+            sub.id for sub in ast.walk(arg) if isinstance(sub, ast.Name)
+        }
+        if names & varying:
+            return
+        report(
+            node,
+            f"{func.id}({ast.unparse(arg)}) is rebuilt on every iteration "
+            f"of a loop that never changes its argument",
         )

@@ -167,11 +167,12 @@ class BabelStream:
     ) -> float:
         p = self.params
         n = ctx.team.n_threads
+        cpus = list(ctx.team.cpus)
         per_iter = 0.0
         for kernel in StreamKernel:
             per_iter += bw_model.kernel_time(
                 np.full(n, p.kernel_bytes(kernel) / n),
-                list(ctx.team.cpus),
+                cpus,
                 placement,
             )
             per_iter += p.kernel_gap

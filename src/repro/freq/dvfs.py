@@ -16,6 +16,7 @@ The plan answers the two questions the rest of the simulator asks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -259,11 +260,12 @@ class FrequencyModel:
         active = list(dict.fromkeys(active_cpus))
         active_cores = machine.cores_spanned(active) if active else 0
         if machine_wide:
-            cross_numa = machine.numa_span(range(machine.n_cpus)) > 1
-            busy_set = set(range(machine.n_cpus))
+            cross_numa = np.unique(machine.numa_ids_array()).size > 1
+            busy = np.ones(machine.n_cpus, dtype=bool)
         else:
             cross_numa = machine.numa_span(active) > 1 if active else False
-            busy_set = set(active)
+            busy = np.zeros(machine.n_cpus, dtype=bool)
+            busy[active] = True
 
         if machine_wide:
             socket_ids = tuple(s.socket_id for s in machine.sockets)
@@ -286,47 +288,10 @@ class FrequencyModel:
             s: spec.derate.sample_factor(load, rng) for s in socket_ids
         }
 
-        traces: dict[int, PiecewiseConstant] = {}
-        horizon = window_end - window_start
-        for cpu in range(machine.n_cpus):
-            base = self.steady_target(governor, active_cores, cpu in busy_set)
-            base *= derate_by_socket.get(machine.hwthread(cpu).socket_id, 1.0)
-            # breakpoints: window start + jitter re-draws + dip edges
-            times = [window_start]
-            if spec.jitter_rate > 0:
-                n_jit = int(rng.poisson(spec.jitter_rate * horizon))
-                if n_jit:
-                    times.extend(
-                        (window_start + rng.random(n_jit) * horizon).tolist()
-                    )
-            socket_id = machine.hwthread(cpu).socket_id
-            cpu_dips = dips_by_socket.get(socket_id, ())
-            for dip in cpu_dips:
-                times.append(dip.start)
-                times.append(dip.start + dip.duration)
-            times = sorted({round(t, 12) for t in times if t >= window_start})
-            t_arr = np.asarray(times)
-
-            # multiplier per segment: benign jitter (resampled at breakpoints)
-            if spec.jitter_amplitude > 0:
-                jitter = 1.0 + rng.uniform(
-                    -spec.jitter_amplitude, spec.jitter_amplitude, size=t_arr.size
-                )
-            else:
-                jitter = np.ones(t_arr.size)
-            values = base * jitter
-            # apply dips: segment value scaled by deepest overlapping dip
-            for dip in cpu_dips:
-                lo, hi = dip.start, dip.start + dip.duration
-                mask = (t_arr >= lo - 1e-12) & (t_arr < hi - 1e-12)
-                values[mask] = np.minimum(values[mask], base * jitter[mask] * dip.depth)
-            values = np.asarray(self._quantize(values), dtype=np.float64)
-
-            # collapse equal consecutive values to keep traces small
-            keep = np.ones(t_arr.size, dtype=bool)
-            keep[1:] = values[1:] != values[:-1]
-            traces[cpu] = PiecewiseConstant(t_arr[keep], values[keep])
-
+        traces = self._build_traces(
+            window_start, window_end - window_start, active_cores,
+            busy, dips_by_socket, derate_by_socket, governor, rng,
+        )
         return FrequencyPlan(
             machine,
             traces,
@@ -334,3 +299,103 @@ class FrequencyModel:
             calibration_hz=spec.calibration_hz,
             dips=dips,
         )
+
+    def _build_traces(
+        self,
+        window_start: float,
+        horizon: float,
+        active_cores: int,
+        busy: np.ndarray,
+        dips_by_socket: Mapping[int, Sequence[FrequencyDip]],
+        derate_by_socket: Mapping[int, float],
+        governor: Governor,
+        rng: np.random.Generator,
+    ) -> dict[int, PiecewiseConstant]:
+        """One trace per cpu: breakpoints at the window start, the jitter
+        re-draws and the cpu's socket's dip edges.
+
+        Only the draws run per cpu, in cpu-id order, as the RNG draw-order
+        contract requires: ``poisson`` (re-draw count), ``random(n_jit)``
+        (re-draw times), then ``uniform`` (one jitter factor per distinct
+        breakpoint).  Everything deterministic — steady targets, derate
+        factors, per-socket dip edges, the dip minima, quantization and the
+        collapse of equal neighbours — runs once, over the concatenation
+        of all cpus' segments.
+        """
+        machine, spec = self.machine, self.spec
+        n_cpus = machine.n_cpus
+        socket_of = machine.socket_ids_array()
+        derate = np.array(
+            [derate_by_socket.get(s, 1.0) for s in range(machine.n_sockets)]
+        )
+        base = np.where(
+            busy,
+            self.steady_target(governor, active_cores, True),
+            self.steady_target(governor, active_cores, False),
+        ) * derate[socket_of]
+
+        # per-socket breakpoints without jitter: the window start and dip edges
+        fixed_by_socket: dict[int, set[float]] = {}
+        for s in range(machine.n_sockets):
+            times = [window_start]
+            for dip in dips_by_socket.get(s, ()):
+                times += (dip.start, dip.start + dip.duration)
+            fixed_by_socket[s] = {round(t, 12) for t in times if t >= window_start}
+        sorted_fixed = {s: sorted(ts) for s, ts in fixed_by_socket.items()}
+
+        # the draws, in cpu-id order
+        amplitude = spec.jitter_amplitude
+        n_expected = spec.jitter_rate * horizon
+        t_parts: list[list[float]] = []
+        jitter_parts: list[np.ndarray] = []
+        for s in socket_of.tolist():
+            times = sorted_fixed[s]
+            if spec.jitter_rate > 0:
+                n_jit = int(rng.poisson(n_expected))
+                if n_jit:
+                    redraws = (window_start + rng.random(n_jit) * horizon).tolist()
+                    times = sorted(
+                        fixed_by_socket[s].union(
+                            round(t, 12) for t in redraws if t >= window_start
+                        )
+                    )
+            t_parts.append(times)
+            if amplitude > 0:
+                jitter_parts.append(rng.uniform(-amplitude, amplitude, size=len(times)))
+
+        # deterministic math over every cpu's segments at once
+        lengths = np.fromiter(map(len, t_parts), dtype=np.int64, count=n_cpus)
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        total = int(ends[-1])
+        t_all = np.fromiter(chain.from_iterable(t_parts), dtype=np.float64, count=total)
+        if amplitude > 0:
+            jitter = 1.0 + np.concatenate(jitter_parts)
+        else:
+            jitter = np.ones(total)
+        seg_base = np.repeat(base, lengths)
+        values = seg_base * jitter
+        # apply dips: segment value scaled by deepest overlapping dip
+        if dips_by_socket:
+            seg_socket = np.repeat(socket_of, lengths)
+            for s, dips in dips_by_socket.items():
+                idx = np.flatnonzero(seg_socket == s)
+                t_s = t_all[idx]
+                for dip in dips:
+                    lo, hi = dip.start, dip.start + dip.duration
+                    sel = idx[(t_s >= lo - 1e-12) & (t_s < hi - 1e-12)]
+                    values[sel] = np.minimum(
+                        values[sel], seg_base[sel] * jitter[sel] * dip.depth
+                    )
+        values = np.asarray(self._quantize(values), dtype=np.float64)
+
+        # collapse equal consecutive values within each cpu's trace
+        keep = np.ones(total, dtype=bool)
+        keep[1:] = values[1:] != values[:-1]
+        keep[starts] = True
+        t_kept, v_kept = t_all[keep], values[keep]
+        b = [0, *np.cumsum(keep)[ends - 1].tolist()]  # kept-segment bounds per cpu
+        return {
+            cpu: PiecewiseConstant(t_kept[b[cpu]:b[cpu + 1]], v_kept[b[cpu]:b[cpu + 1]])
+            for cpu in range(n_cpus)
+        }

@@ -429,9 +429,10 @@ def figure2(
             for kernel in StreamKernel:
                 matrix = result.runs_matrix(kernel.value)
                 per_kernel[kernel.value].append(to_ms(float(matrix.mean())))
-        data[platform] = {"threads": list(sweep), "mean_ms": per_kernel}
+        thread_counts = list(sweep)
+        data[platform] = {"threads": thread_counts, "mean_ms": per_kernel}
         lines = [
-            render_series(f"{k}@{platform}", list(sweep), v, unit="ms")
+            render_series(f"{k}@{platform}", thread_counts, v, unit="ms")
             for k, v in per_kernel.items()
         ]
         sections.append((f"{platform}: kernel time vs threads", "\n".join(lines)))

@@ -54,13 +54,15 @@ class RunqueueState:
         """CPUs with an empty runqueue."""
         return np.flatnonzero(self._count == 0).tolist()
 
+    def core_loads(self) -> np.ndarray:
+        """Runnable tasks per core (summed over its hardware threads),
+        indexed by core id."""
+        m = self.machine
+        return np.bincount(m.core_ids_array(), weights=self._count, minlength=m.n_cores)
+
     def idle_cores(self) -> list[int]:
         """Cores whose *every* hardware thread is idle."""
-        out = []
-        for core in self.machine.cores:
-            if all(self._count[c] == 0 for c in core.cpu_ids):
-                out.append(core.core_id)
-        return out
+        return np.flatnonzero(self.core_loads() == 0).tolist()
 
     def stacked_cpus(self) -> list[int]:
         """CPUs hosting more than one runnable task."""

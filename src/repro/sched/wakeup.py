@@ -23,23 +23,39 @@ from repro.topology.hwthread import Machine
 
 
 class WakeupPlacer:
-    """Places woken threads onto CPUs given current runqueue state."""
+    """Places woken threads onto CPUs given current runqueue state.
+
+    The candidate pools depend only on the (frozen) machine, so they are
+    built once per waker CPU as int64 arrays; each placement then selects
+    from them with masks derived from one per-core load vector.
+    """
 
     def __init__(self, machine: Machine, params: SchedParams):
         self.machine = machine
         self.params = params
+        self._core_ids = machine.core_ids_array()
+        self._primary = machine.smt_index_array() == 0
+        self._pools: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def _candidate_order(self, waker_cpu: int) -> list[list[int]]:
-        """CPU pools in preference order relative to the waker's position."""
-        m = self.machine
-        waker = m.hwthread(waker_cpu)
-        same_numa = [c for c in m.numa_domains[waker.numa_id].cpu_ids]
-        same_socket = [
-            c for c in m.sockets[waker.socket_id].cpu_ids if c not in set(same_numa)
-        ]
-        seen = set(same_numa) | set(same_socket)
-        rest = [c for c in range(m.n_cpus) if c not in seen]
-        return [same_numa, same_socket, rest]
+    def _candidate_order(self, waker_cpu: int) -> tuple[np.ndarray, ...]:
+        """CPU pools in preference order relative to the waker's position:
+        same NUMA domain, rest of the same socket, everything else."""
+        pools = self._pools.get(waker_cpu)
+        if pools is None:
+            m = self.machine
+            waker = m.hwthread(waker_cpu)
+            same_numa = np.asarray(m.numa_domains[waker.numa_id].cpu_ids, dtype=np.int64)
+            seen = np.zeros(m.n_cpus, dtype=bool)
+            seen[same_numa] = True
+            socket_cpus = np.asarray(m.sockets[waker.socket_id].cpu_ids, dtype=np.int64)
+            same_socket = socket_cpus[~seen[socket_cpus]]
+            seen[same_socket] = True
+            rest = np.flatnonzero(~seen)
+            pools = (same_numa, same_socket, rest)
+            for pool in pools:
+                pool.setflags(write=False)
+            self._pools[waker_cpu] = pools
+        return pools
 
     def place_one(
         self,
@@ -49,32 +65,23 @@ class WakeupPlacer:
         allow_stacking_shortcut: bool = True,
     ) -> int:
         """Pick a CPU for one woken thread; does **not** update *rq*."""
-        m = self.machine
         p = self.params
         # imperfect search: sometimes the scheduler settles for a loaded cpu
         load = rq.load_fraction()
         stacking_prob = min(1.0, p.stacking_prob_per_thread * (1.0 + 8.0 * load))
         if allow_stacking_shortcut and rng.random() < stacking_prob:
-            counts = rq.counts()
-            return int(rng.integers(0, m.n_cpus))
+            return int(rng.integers(0, self.machine.n_cpus))
 
-        pools = self._candidate_order(waker_cpu)
         counts = rq.counts()
-        # pass 1: idle core (no hw thread busy) in preference order
-        for pool in pools:
-            idle_core_cpus = [
-                c
-                for c in pool
-                if all(counts[s] == 0 for s in m.core_of(c).cpu_ids)
-                and m.hwthread(c).smt_index == 0
-            ]
-            if idle_core_cpus:
-                return int(rng.choice(idle_core_cpus))
-        # pass 2: any idle hw thread
-        for pool in pools:
-            idle = [c for c in pool if counts[c] == 0]
-            if idle:
-                return int(rng.choice(idle))
+        # pass 1: the first hw thread of an idle core (no hw thread busy);
+        # pass 2: any idle hw thread.  Each pass walks the pools in
+        # preference order.
+        idle_core_cpu = (rq.core_loads() == 0)[self._core_ids] & self._primary
+        for eligible in (idle_core_cpu, counts == 0):
+            for pool in self._candidate_order(waker_cpu):
+                candidates = pool[eligible[pool]]
+                if candidates.size:
+                    return int(rng.choice(candidates))
         # pass 3: least loaded cpu, ties broken randomly
         least = counts.min()
         candidates = np.flatnonzero(counts == least)

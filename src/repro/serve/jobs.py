@@ -107,6 +107,20 @@ class Job:
             )
         self.state = new_state
 
+    def finish(self, state: str, **data: Any) -> dict:
+        """Move to terminal *state* and append its terminal event as one
+        step under ``cond``.
+
+        A subscriber never observes a terminal job whose terminal event is
+        missing, which would end its stream (:meth:`events_from`) before
+        that event.  Returns the event.
+        """
+        if state not in TERMINAL_STATES:
+            raise ServiceError(f"{state!r} is not a terminal job state")
+        with self.cond:
+            self.transition(state)
+            return self.add_event(state, **data)
+
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES

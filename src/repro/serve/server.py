@@ -229,9 +229,8 @@ class JobService:
                     f"cancelled"
                 )
             if job.state == "queued" and self.queue.remove(job_id):
-                job.transition("cancelled")
+                job.finish("cancelled", job_id=job_id)
                 self.store.save(job)
-                job.add_event("cancelled", job_id=job_id)
                 self.queue.wake()
                 return job.snapshot()
         # running (or being picked up): ask the runner to stop between
@@ -289,9 +288,8 @@ class JobService:
         if job.terminal:
             return
         if job.cancel_requested.is_set():
-            job.transition("cancelled")
+            job.finish("cancelled", job_id=job_id)
             self.store.save(job)
-            job.add_event("cancelled", job_id=job_id)
             self.queue.wake()
             return
         job.transition("running")
@@ -304,9 +302,7 @@ class JobService:
             summary = complete.summary
             job.simulated = summary.simulated
             job.cached = summary.cached
-            job.transition("done")
-            self.store.save(job)
-            job.add_event(
+            job.finish(
                 "done",
                 job_id=job_id,
                 shard={
@@ -319,6 +315,7 @@ class JobService:
                 },
                 records=False,
             )
+            self.store.save(job)
         except ReproError as exc:
             self._fail(job, str(exc))
         except Exception as exc:  # noqa: BLE001 - job must reach a terminal state
@@ -330,9 +327,8 @@ class JobService:
 
     def _fail(self, job: Job, message: str) -> None:
         job.error = message
-        job.transition("failed")
+        job.finish("failed", job_id=job.job_id, error=message)
         self.store.save(job)
-        job.add_event("failed", job_id=job.job_id, error=message)
 
     def _execute(self, job: Job, job_metrics: MetricsRegistry) -> None:
         study = spec_to_study(job.spec)
@@ -349,11 +345,10 @@ class JobService:
         results = []
         for index, cfg in enumerate(configs):
             if job.cancel_requested.is_set():
-                job.transition("cancelled")
-                self.store.save(job)
-                job.add_event(
+                job.finish(
                     "cancelled", job_id=job.job_id, done=index, total=job.total
                 )
+                self.store.save(job)
                 return
             warm = (self.cache.cache_dir / f"{cache_key(cfg)}.json").exists()
             results.append(sweep.run([cfg])[0])
@@ -381,10 +376,7 @@ class JobService:
         self.store.records_path(job.job_id, "csv").write_bytes(
             result.to_csv_text().encode("utf-8")
         )
-        self.store.save(job)
-        job.transition("done")
-        self.store.save(job)
-        job.add_event(
+        job.finish(
             "done",
             job_id=job.job_id,
             total=job.total,
@@ -392,6 +384,7 @@ class JobService:
             cached=job.cached,
             records=True,
         )
+        self.store.save(job)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ order (so core *c* owns CPUs ``{c, c + ncores}`` on an SMT-2 machine).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -178,13 +179,40 @@ class Machine:
     def cores_spanned(self, cpus: Sequence[int] | CpuSet) -> int:
         return len({self.hwthread(c).core_id for c in cpus})
 
+    @cached_property
+    def _index_arrays(self) -> dict[str, np.ndarray]:
+        """Per-cpu topology indices, built once per machine and read-only.
+
+        Cached in the instance ``__dict__`` (a frozen dataclass without
+        slots allows it); excluded from equality, hashing and pickling.
+        """
+        out = {}
+        for attr in ("numa_id", "core_id", "socket_id", "smt_index"):
+            arr = np.asarray([getattr(t, attr) for t in self.hwthreads], dtype=np.int64)
+            arr.setflags(write=False)
+            out[attr] = arr
+        return out
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_index_arrays", None)
+        return state
+
     def numa_ids_array(self) -> np.ndarray:
-        """``numa_id`` per cpu, as an int array indexed by cpu id."""
-        return np.asarray([t.numa_id for t in self.hwthreads], dtype=np.int64)
+        """``numa_id`` per cpu, as a read-only int array indexed by cpu id."""
+        return self._index_arrays["numa_id"]
 
     def core_ids_array(self) -> np.ndarray:
-        """``core_id`` per cpu, as an int array indexed by cpu id."""
-        return np.asarray([t.core_id for t in self.hwthreads], dtype=np.int64)
+        """``core_id`` per cpu, as a read-only int array indexed by cpu id."""
+        return self._index_arrays["core_id"]
+
+    def socket_ids_array(self) -> np.ndarray:
+        """``socket_id`` per cpu, as a read-only int array indexed by cpu id."""
+        return self._index_arrays["socket_id"]
+
+    def smt_index_array(self) -> np.ndarray:
+        """``smt_index`` per cpu, as a read-only int array indexed by cpu id."""
+        return self._index_arrays["smt_index"]
 
     def summary(self) -> str:
         """Human-readable one-paragraph description (README/CLI use)."""

@@ -822,6 +822,104 @@ class TestPERF003:
 
 
 # ---------------------------------------------------------------------------
+# PERF004 — loop-invariant container rebuilt inside a loop
+# ---------------------------------------------------------------------------
+
+SCHED = ("repro", "sched", "fake")
+
+
+class TestPERF004:
+    def test_set_in_comprehension_condition_flagged(self):
+        # the wakeup-placement pool construction this rule targets
+        out = findings(
+            """
+            def pools(m, same_numa, socket):
+                same_socket = [
+                    c for c in m.sockets[socket].cpu_ids if c not in set(same_numa)
+                ]
+                return same_socket
+            """,
+            "PERF004",
+            module_parts=SCHED,
+        )
+        assert len(out) == 1
+        assert "set(same_numa)" in out[0].message
+
+    def test_loop_body_and_while_test_flagged(self):
+        out = findings(
+            """
+            def scan(items, allowed, limits):
+                hits = 0
+                for x in items:
+                    if x in list(allowed):
+                        hits += 1
+                while hits < len(dict(limits)):
+                    hits += 1
+                return hits
+            """,
+            "PERF004",
+        )
+        assert [f.message.split(" ")[0] for f in out] == [
+            "list(allowed)", "dict(limits)",
+        ]
+
+    def test_argument_varying_in_loop_allowed(self):
+        out = findings(
+            """
+            def scan(rows, seen):
+                out = []
+                for row in rows:
+                    out.append(set(row.cpus))
+                for x in rows:
+                    if x not in set(seen):
+                        seen.append(x)
+                return [list(r) for r in rows if set(r)]
+            """,
+            "PERF004",
+        )
+        assert out == []
+
+    def test_evaluated_once_positions_allowed(self):
+        out = findings(
+            """
+            def scan(pool, rows, make):
+                for x in set(pool):
+                    rows.add(x)
+                picked = [c for c in list(pool) if c]
+                for row in rows:
+                    row.fill(list(make(row)))
+                fixed = set(pool)
+                return picked, fixed, [c for c in rows if c in fixed]
+            """,
+            "PERF004",
+        )
+        assert out == []
+
+    def test_nested_function_is_its_own_scope(self):
+        out = findings(
+            """
+            def outer(pool, rows):
+                for row in rows:
+                    def key(c, pool=pool):
+                        return c in set(pool)
+                    row.sort(key=key)
+            """,
+            "PERF004",
+        )
+        assert out == []
+
+    def test_later_generator_iterable_flagged(self):
+        out = findings(
+            """
+            def pairs(rows, pool):
+                return [(r, c) for r in rows for c in list(pool)]
+            """,
+            "PERF004",
+        )
+        assert len(out) == 1
+
+
+# ---------------------------------------------------------------------------
 # API001 — driver registration
 # ---------------------------------------------------------------------------
 
@@ -886,7 +984,7 @@ class TestRegistry:
     def test_all_rule_families_registered(self):
         assert {
             "DET001", "DET002", "DET003", "DET004", "DET005", "PERF001",
-            "PERF002", "API001",
+            "PERF002", "PERF003", "PERF004", "API001",
         } <= set(available_rules())
 
     def test_unknown_rule_raises(self):
@@ -1063,7 +1161,7 @@ class TestLintCli:
         out = capsys.readouterr().out
         for rule_id in (
             "DET001", "DET002", "DET003", "DET004", "DET005", "PERF001",
-            "PERF002", "API001",
+            "PERF002", "PERF003", "PERF004", "API001",
         ):
             assert rule_id in out
 

@@ -305,3 +305,143 @@ class TestSysfs:
         path = fs.path_for(3)
         assert path == "/sys/devices/system/cpu/cpu3/cpufreq/scaling_cur_freq"
         assert fs.read(path, 0.0)
+
+
+# -- oracle: the per-cpu plan loop the batched construction replaced ---------------
+
+
+def _oracle_plan(model, window_start, window_end, active_cpus, governor, rng,
+                 machine_wide=False):
+    """The historical per-cpu :meth:`FrequencyModel.plan`, kept as the
+    byte-identity reference for the batched trace construction."""
+    from repro.freq.dvfs import FrequencyPlan
+    from repro.sim.trace import PiecewiseConstant
+
+    machine, spec = model.machine, model.spec
+    active = list(dict.fromkeys(active_cpus))
+    active_cores = machine.cores_spanned(active) if active else 0
+    if machine_wide:
+        cross_numa = machine.numa_span(range(machine.n_cpus)) > 1
+        busy_set = set(range(machine.n_cpus))
+    else:
+        cross_numa = machine.numa_span(active) > 1 if active else False
+        busy_set = set(active)
+    if machine_wide:
+        socket_ids = tuple(s.socket_id for s in machine.sockets)
+    else:
+        socket_ids = tuple(
+            sorted({machine.hwthread(c).socket_id for c in active})
+        ) or tuple(s.socket_id for s in machine.sockets)
+    occupancy = (active_cores / machine.n_cores) if active else None
+    dips = spec.dips.sample(
+        window_start, window_end, socket_ids, cross_numa, rng, occupancy=occupancy,
+    )
+    dips_by_socket = {}
+    for dip in dips:
+        dips_by_socket.setdefault(dip.socket_id, []).append(dip)
+    load = active_cores / machine.n_cores
+    derate_by_socket = {s: spec.derate.sample_factor(load, rng) for s in socket_ids}
+
+    traces = {}
+    horizon = window_end - window_start
+    for cpu in range(machine.n_cpus):
+        base = model.steady_target(governor, active_cores, cpu in busy_set)
+        base *= derate_by_socket.get(machine.hwthread(cpu).socket_id, 1.0)
+        times = [window_start]
+        if spec.jitter_rate > 0:
+            n_jit = int(rng.poisson(spec.jitter_rate * horizon))
+            if n_jit:
+                times.extend((window_start + rng.random(n_jit) * horizon).tolist())
+        cpu_dips = dips_by_socket.get(machine.hwthread(cpu).socket_id, ())
+        for dip in cpu_dips:
+            times.append(dip.start)
+            times.append(dip.start + dip.duration)
+        times = sorted({round(t, 12) for t in times if t >= window_start})
+        t_arr = np.asarray(times)
+        if spec.jitter_amplitude > 0:
+            jitter = 1.0 + rng.uniform(
+                -spec.jitter_amplitude, spec.jitter_amplitude, size=t_arr.size
+            )
+        else:
+            jitter = np.ones(t_arr.size)
+        values = base * jitter
+        for dip in cpu_dips:
+            lo, hi = dip.start, dip.start + dip.duration
+            mask = (t_arr >= lo - 1e-12) & (t_arr < hi - 1e-12)
+            values[mask] = np.minimum(values[mask], base * jitter[mask] * dip.depth)
+        values = np.asarray(model._quantize(values), dtype=np.float64)
+        keep = np.ones(t_arr.size, dtype=bool)
+        keep[1:] = values[1:] != values[:-1]
+        traces[cpu] = PiecewiseConstant(t_arr[keep], values[keep])
+    return FrequencyPlan(
+        machine, traces, window_start, calibration_hz=spec.calibration_hz, dips=dips,
+    )
+
+
+def _oracle_platforms():
+    from dataclasses import replace
+
+    from repro.platform import get_platform
+
+    toy = get_platform("toy")
+    # the toy preset has neither jitter nor dips; a dippy variant makes
+    # overlapping dips and dense breakpoints common on a small machine
+    dippy = replace(
+        toy,
+        name="toy-dippy",
+        freq_spec=replace(
+            toy.freq_spec,
+            jitter_amplitude=0.01,
+            jitter_rate=40.0,
+            dips=DipProcess(base_rate=3.0, cross_numa_rate=6.0,
+                            duration_median=0.05, depth_low=0.5),
+            derate=DerateProcess(prob_at_full_load=0.9, load_exponent=0.5),
+        ),
+    )
+    return [toy, dippy, get_platform("vera"), get_platform("dardel")]
+
+
+_GOVERNORS = ("performance", "ondemand", "schedutil", "powersave")
+
+
+class TestBatchedPlanMatchesOracle:
+    """The batched trace construction is byte-identical to the per-cpu
+    loop it replaced and consumes the RNG stream exactly as it did."""
+
+    @staticmethod
+    def _active(machine, mode, rng):
+        n = int(rng.integers(1, machine.n_cpus + 1))
+        if mode == "bound":
+            first = int(rng.integers(0, machine.n_cpus - n + 1))
+            return list(range(first, first + n))
+        # an unbound placement: scattered, possibly stacked
+        return [int(c) for c in rng.integers(0, machine.n_cpus, size=n)]
+
+    @pytest.mark.parametrize("mode", ["bound", "unbound", "machine_wide"])
+    def test_plans_identical(self, mode):
+        exercised = {"dips": 0, "multi_segment": 0}
+        for platform in _oracle_platforms():
+            model = FrequencyModel(platform.machine, platform.freq_spec)
+            for seed in range(50):
+                setup = np.random.default_rng(seed)
+                active = self._active(platform.machine, mode, setup)
+                start = float(setup.choice([0.0, 0.25]))
+                end = start + float(setup.choice([0.01, 0.2, 2.0, 8.0]))
+                governor = make_governor(_GOVERNORS[seed % len(_GOVERNORS)])
+                new_rng = RngFactory(seed).stream("freq")
+                old_rng = RngFactory(seed).stream("freq")
+                wide = mode == "machine_wide"
+                new = model.plan(start, end, active, governor, new_rng, machine_wide=wide)
+                old = _oracle_plan(model, start, end, active, governor, old_rng,
+                                   machine_wide=wide)
+                assert new_rng.bit_generator.state == old_rng.bit_generator.state
+                assert new.dips == old.dips
+                assert new.window_start == old.window_start
+                for cpu in range(platform.machine.n_cpus):
+                    a, b = new.trace(cpu), old.trace(cpu)
+                    assert np.array_equal(a.times, b.times), (platform.name, seed, cpu)
+                    assert np.array_equal(a.values, b.values), (platform.name, seed, cpu)
+                    exercised["multi_segment"] += len(a) > 1
+                exercised["dips"] += bool(new.dips)
+        assert exercised["dips"] > 10
+        assert exercised["multi_segment"] > 100

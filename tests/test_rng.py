@@ -102,6 +102,16 @@ class TestBatchedDrawEquivalence:
         # generator state advanced identically: next draws agree
         assert a.random() == b.random()
 
+    def test_choice_list_equals_choice_int64_array(self):
+        """Wakeup placement draws from cached int64 pool arrays where it
+        once drew from Python lists: same picks, same stream state."""
+        pools = [[5], [3, 7, 11], list(range(0, 256, 3)), [2**40, 9, 1]]
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        for pool in pools * 16:
+            picked = b.choice(np.asarray(pool, dtype=np.int64))
+            assert int(a.choice(pool)) == int(picked)
+        assert a.bit_generator.state == b.bit_generator.state
+
     def test_uniform_batched_equals_affine_random(self):
         lo, hi = -0.3, 1.7
         a, b = np.random.default_rng(7), np.random.default_rng(7)

@@ -237,3 +237,100 @@ class TestSchedulerModel:
         # 128 threads on 128 cores: every thread gets its own core
         cores = {machine.hwthread(c).core_id for c in out.cpus}
         assert len(cores) == 128
+
+
+# -- oracle: the list-based placement the array-backed pools replaced --------------
+
+
+def _oracle_place_one(placer, waker_cpu, rq, rng, allow_stacking_shortcut=True):
+    """The historical :meth:`WakeupPlacer.place_one` over Python lists, kept
+    as the reference for the cached-array pools.  Returns ``(cpu, pass)``
+    where pass 0 is the stacking shortcut."""
+    m = placer.machine
+    p = placer.params
+    load = rq.load_fraction()
+    stacking_prob = min(1.0, p.stacking_prob_per_thread * (1.0 + 8.0 * load))
+    if allow_stacking_shortcut and rng.random() < stacking_prob:
+        return int(rng.integers(0, m.n_cpus)), 0
+    waker = m.hwthread(waker_cpu)
+    same_numa = list(m.numa_domains[waker.numa_id].cpu_ids)
+    numa_set = set(same_numa)
+    same_socket = [c for c in m.sockets[waker.socket_id].cpu_ids if c not in numa_set]
+    seen = numa_set | set(same_socket)
+    rest = [c for c in range(m.n_cpus) if c not in seen]
+    pools = [same_numa, same_socket, rest]
+    counts = rq.counts()
+    for pool in pools:
+        idle_core_cpus = [
+            c
+            for c in pool
+            if all(counts[s] == 0 for s in m.core_of(c).cpu_ids)
+            and m.hwthread(c).smt_index == 0
+        ]
+        if idle_core_cpus:
+            return int(rng.choice(idle_core_cpus)), 1
+    for pool in pools:
+        idle = [c for c in pool if counts[c] == 0]
+        if idle:
+            return int(rng.choice(idle)), 2
+    least = counts.min()
+    return int(rng.choice(np.flatnonzero(counts == least))), 3
+
+
+class TestPlacementMatchesOracle:
+    """Array-backed placement is identical to the list-based loop, draw
+    for draw, on every preset machine and occupancy regime."""
+
+    @staticmethod
+    def _occupy(machine, regime, setup):
+        """External load: sparse, every core's first thread busy (only
+        SMT siblings idle: pass 2), or every cpu busy (pass 3)."""
+        n = machine.n_cpus
+        primaries = [c for c in range(n) if machine.hwthread(c).smt_index == 0]
+        if regime == "sparse":
+            return [int(c) for c in setup.choice(n, size=n // 4, replace=False)]
+        if regime == "primaries":
+            return primaries
+        return list(range(n)) + [int(c) for c in setup.integers(0, n, size=n // 8)]
+
+    @pytest.mark.parametrize("name", ["toy", "vera", "dardel"])
+    def test_placements_identical(self, name):
+        from repro.platform import get_platform
+
+        machine = get_platform(name).machine
+        passes = set()
+        for seed in range(50):
+            setup = np.random.default_rng(seed)
+            regime = ("sparse", "primaries", "full")[seed % 3]
+            stacking = (0.0, 0.05)[seed % 2]
+            placer = WakeupPlacer(machine, SchedParams(stacking_prob_per_thread=stacking))
+            rq = RunqueueState(machine)
+            for cpu in self._occupy(machine, regime, setup):
+                rq.add(cpu)
+            waker = int(setup.integers(0, machine.n_cpus))
+            new_rng = RngFactory(seed).stream("placement")
+            old_rng = RngFactory(seed).stream("placement")
+            for _ in range(12):
+                cpu = placer.place_one(waker, rq, new_rng)
+                expected, which = _oracle_place_one(placer, waker, rq, old_rng)
+                assert cpu == expected, (name, seed)
+                assert new_rng.bit_generator.state == old_rng.bit_generator.state
+                passes.add(which)
+                rq.add(cpu)
+        # on an SMT-1 machine every idle cpu is an idle core: no pass 2
+        assert passes == ({0, 1, 2, 3} if machine.smt_level > 1 else {0, 1, 3})
+
+    def test_idle_cores_matches_per_core_scan(self):
+        from repro.platform import get_platform
+
+        machine = get_platform("vera").machine
+        setup = np.random.default_rng(0)
+        rq = RunqueueState(machine)
+        for cpu in setup.choice(machine.n_cpus, size=20, replace=False):
+            rq.add(int(cpu))
+        counts = rq.counts()
+        expected = [
+            core.core_id for core in machine.cores
+            if all(counts[c] == 0 for c in core.cpu_ids)
+        ]
+        assert rq.idle_cores() == expected

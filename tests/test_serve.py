@@ -448,6 +448,49 @@ class TestServiceEngine:
         assert follower.simulated == 0 and follower.cached == 2
         assert service.cache.stores == 2
 
+    def test_subscriber_woken_mid_finish_gets_terminal_event(self, tmp_path):
+        """A subscriber woken while the service persists a terminal job
+        still receives the terminal event on its first stream (no
+        reconnect needed)."""
+        svc = JobService(tmp_path / "state", workers=1)
+        job = svc.get_job(svc.submit(SWEEP_SPEC)["job_id"])
+        received: list[dict] = []
+        drained = threading.Event()
+
+        def subscribe():
+            received.extend(job.events_from(0))
+            drained.set()
+
+        real_save = svc.store.save
+
+        def parking_save(saved):
+            if saved is job and saved.terminal:
+                # park between the terminal transition and the save: wake
+                # the subscriber and let it drain what it can see
+                with job.cond:
+                    job.cond.notify_all()
+                drained.wait(timeout=5.0)
+            real_save(saved)
+
+        svc.store.save = parking_save
+        subscriber = threading.Thread(target=subscribe)
+        subscriber.start()
+        svc.start()
+        try:
+            subscriber.join(timeout=30.0)
+            assert drained.is_set()
+        finally:
+            svc.stop()
+        assert received[-1]["event"] == "done"
+        assert [e["seq"] for e in received] == list(range(len(received)))
+
+    def test_finish_rejects_non_terminal_state(self):
+        job = Job(job_id="j", seq=1, spec={}, fingerprint="f")
+        with pytest.raises(ServiceError, match="not a terminal"):
+            job.finish("running")
+        event = job.finish("cancelled", job_id="j")
+        assert job.state == "cancelled" and job.events == [event]
+
     def test_records_unavailable_before_done(self, tmp_path):
         svc = JobService(tmp_path / "state")  # governor never started
         snap = svc.submit(SWEEP_SPEC)

@@ -1,5 +1,6 @@
 """Tests for the topology substrate (builder, machine invariants, presets)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,10 +102,28 @@ class TestMachineLookups:
     def test_arrays(self):
         numa = self.m.numa_ids_array()
         core = self.m.core_ids_array()
+        socket = self.m.socket_ids_array()
+        smt = self.m.smt_index_array()
         assert numa.shape == (self.m.n_cpus,)
         for cpu in range(self.m.n_cpus):
             assert numa[cpu] == self.m.hwthread(cpu).numa_id
             assert core[cpu] == self.m.hwthread(cpu).core_id
+            assert socket[cpu] == self.m.hwthread(cpu).socket_id
+            assert smt[cpu] == self.m.hwthread(cpu).smt_index
+
+    def test_arrays_cached_read_only(self):
+        import pickle
+
+        for getter in ("numa_ids_array", "core_ids_array",
+                       "socket_ids_array", "smt_index_array"):
+            arr = getattr(self.m, getter)()
+            assert arr is getattr(self.m, getter)()
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        clone = pickle.loads(pickle.dumps(self.m))
+        assert clone == self.m and hash(clone) == hash(self.m)
+        assert np.array_equal(clone.core_ids_array(), self.m.core_ids_array())
 
 
 class TestPresets:
