@@ -87,12 +87,7 @@ from pathlib import Path
 
 from repro.bench.registry import available_benchmarks
 from repro.errors import ReproError
-from repro.harness.backend import (
-    FUSED_MODES,
-    available_backends,
-    make_backend,
-    parse_shard,
-)
+from repro.harness.backend import available_backends, make_backend, parse_shard
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import (
@@ -133,13 +128,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
              "`repro-omp gather`; see docs/distributed.md)",
     )
     parser.add_argument(
-        "--fused", choices=FUSED_MODES, default="auto",
-        help="fused rep-axis engine: batch all repetitions of eligible "
-             "configs into one array program, byte-identical to scalar "
-             "execution (default auto: fuse eligible multi-run configs; "
-             "see docs/performance.md)",
-    )
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="cache results on disk under DIR and replay them on re-invocation",
     )
@@ -176,10 +164,7 @@ def _make_backend(args: argparse.Namespace):
     """The ExecutionBackend the --backend/--shard/--jobs flags ask for
     (``None`` keeps the Sweep's own jobs-based default)."""
     shard = parse_shard(args.shard) if args.shard is not None else None
-    return make_backend(
-        args.backend, jobs=args.jobs, shard=shard,
-        fused=getattr(args, "fused", "off"),
-    )
+    return make_backend(args.backend, jobs=args.jobs, shard=shard)
 
 
 def _finish_obs(args: argparse.Namespace, configs, metrics) -> None:

@@ -3,18 +3,12 @@
 :class:`~repro.harness.parallel.Sweep` owns the *policy* of a batch run —
 cache lookups, result ordering, telemetry — and delegates the *mechanism*
 of simulating the configurations that missed the cache to an
-:class:`ExecutionBackend`.  Four backends implement the protocol:
+:class:`ExecutionBackend`.  Three backends implement the protocol:
 
-* :class:`SerialBackend` — simulate in-process, one config at a time (the
-  historical ``jobs=1`` path);
-* :class:`FusedBackend` — simulate in-process through the fused rep-axis
-  engine (:mod:`repro.sim.fused`), which evaluates all repetitions of a
-  config as one batched array program, falling back to the scalar loop
-  for configs the fused engine has no formulation for;
-* :class:`ProcessPoolBackend` — fan individual runs out over a
-  ``ProcessPoolExecutor``, interleaved round-robin by run index (the
-  historical ``jobs=N`` path); with ``fused != "off"``, eligible configs
-  are submitted as whole-config fused tasks instead;
+* :class:`SerialBackend` — simulate in-process, one config at a time;
+* :class:`ProcessPoolBackend` — fan work out over a
+  ``ProcessPoolExecutor``: a fused config as one whole-config task, the
+  rest as individual runs interleaved round-robin by run index;
 * :class:`ShardedBackend` — execute only the configurations assigned to
   one shard of a distributed run, delegating the actual simulation to an
   inner backend.  Every shard worker computes the same partition from the
@@ -26,7 +20,11 @@ of simulating the configurations that missed the cache to an
 All backends produce results *bit-identical* to serial execution: a
 backend only decides where and in what order runs simulate, never what
 they compute (the named RNG streams derive every run from
-``(master seed, run index)`` alone).
+``(master seed, run index)`` alone).  Which engine simulates a config is
+decided by the config alone (:func:`fuses`): the fused rep-axis engine
+(:mod:`repro.sim.fused`) evaluates all repetitions of an eligible
+multi-run config as one batched array program, the scalar engine runs
+everything else one run at a time, and both produce the same bytes.
 
 Shard assignment is deliberately a pure function of the configuration's
 cache key: it must not depend on wall-clock time, process ids, host
@@ -54,48 +52,51 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ExecutionBackend",
-    "FUSED_MODES",
     "FusedBackend",
     "ProcessPoolBackend",
     "SerialBackend",
     "ShardedBackend",
     "available_backends",
+    "fuses",
     "make_backend",
-    "normalize_fused",
     "parse_shard",
     "resolve_jobs",
     "shard_index_of",
 ]
 
-#: ``--fused`` choices.  ``auto`` fuses eligible multi-run configs, ``on``
-#: fuses every eligible config, ``off`` keeps the scalar per-run loop.
-FUSED_MODES = ("auto", "on", "off")
 
+def fuses(config: ExperimentConfig) -> bool:
+    """Whether *config* simulates on the fused rep-axis engine.
 
-def normalize_fused(mode: str | None) -> str:
-    """Validate a ``--fused`` mode request (``None`` means ``off``)."""
-    mode = "off" if mode is None else mode
-    if mode not in FUSED_MODES:
-        raise ConfigurationError(
-            f"unknown fused mode {mode!r}; choose from {FUSED_MODES}"
-        )
-    return mode
-
-
-def _wants_fused(mode: str, config: ExperimentConfig) -> bool:
-    """Whether *config* should take the fused rep-axis path under *mode*.
-
-    ``auto`` fuses only multi-run configs (a single run has no rep axis to
-    batch); ``on`` fuses everything eligible.  Eligibility itself
-    (benchmark + binding shape) is :func:`repro.sim.fused.fused_ineligibility`.
+    The one routing rule every backend applies: a config fuses iff the
+    fused engine has a formulation for it
+    (:func:`repro.sim.fused.fused_ineligibility`) and it has a rep axis
+    to batch (``runs >= 2``).  The engine is looked up on its module at
+    call time, never bound at import.
     """
-    if mode == "off":
-        return False
     from repro.sim.fused import fused_ineligibility
 
-    if fused_ineligibility(config) is not None:
-        return False
-    return mode == "on" or config.runs >= 2
+    return fused_ineligibility(config) is None and config.runs >= 2
+
+
+def _simulate_fused(
+    runner: Runner, worker_id: str, t_started: float
+) -> tuple[ExperimentResult, float]:
+    """Simulate every run of ``runner.config`` on the fused engine.
+
+    Returns the provenance-stamped result and the wall seconds since
+    *t_started*; each record carries an equal share of them.
+    """
+    from repro.sim.fused import run_fused
+
+    result = run_fused(runner)
+    elapsed = time.time() - t_started
+    per_run = elapsed / max(1, runner.config.runs)
+    records = tuple(
+        replace(rec, worker_id=worker_id, wall_seconds=per_run)
+        for rec in result.records
+    )
+    return ExperimentResult(config=runner.config, records=records), elapsed
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -183,7 +184,14 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Simulate every pending config in-process, in input order."""
+    """Simulate every pending config in-process, in input order.
+
+    Configs that :func:`fuses` routes to the fused engine evaluate all
+    their runs as one batched array program (the records' ``worker_id``
+    stamp reads ``fused``); the rest run the scalar per-run loop
+    (``main``).  The stamp is provenance only (``compare=False``, never
+    serialized): both engines produce byte-identical results.
+    """
 
     name = "serial"
 
@@ -196,6 +204,9 @@ class SerialBackend(ExecutionBackend):
         for cfg, _key in pending:
             t_cfg = time.time()
             runner = Runner(cfg)
+            if fuses(cfg):
+                out.append(_simulate_fused(runner, "fused", t_cfg))
+                continue
             records = []
             for run in range(cfg.runs):
                 t_run = time.time()
@@ -210,55 +221,28 @@ class SerialBackend(ExecutionBackend):
         return out
 
 
-class FusedBackend(ExecutionBackend):
-    """Simulate pending configs in-process through the fused rep-axis
-    engine (:func:`repro.sim.fused.run_fused`), which evaluates every
-    repetition of a config as one batched array program.
+class FusedBackend(SerialBackend):
+    """:class:`SerialBackend` under its former fused-mode name.
 
-    Configs the fused engine has no formulation for (see
-    :func:`repro.sim.fused.fused_ineligibility`) — and, in ``auto`` mode,
-    single-run configs — silently take the scalar per-run loop instead, so
-    this backend is a safe default for any batch.  Either path produces
-    byte-identical results; only the ``worker_id`` provenance stamp
-    (``compare=False``, never serialized) records which engine ran.
+    Kept only because the end-to-end benchmark harness (``e2ebench/``)
+    subclasses it as ``FusedBackend("auto")``; it is removed together
+    with that call when the benchmark harness next changes.  ``"auto"``
+    is the routing every backend now applies, so any other mode is an
+    error.
     """
 
-    name = "fused"
-
     def __init__(self, mode: str = "auto"):
-        mode = normalize_fused(mode)
-        if mode == "off":
-            raise ConfigurationError(
-                "FusedBackend with mode='off' is just SerialBackend; "
-                "construct that instead"
-            )
-        self.mode = mode
+        require_auto_fusion(mode)
 
-    def execute(
-        self,
-        pending: Sequence[tuple[ExperimentConfig, str]],
-        metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
-        from repro.sim.fused import run_fused
 
-        scalar = SerialBackend()
-        out: list[tuple[ExperimentResult, float] | None] = []
-        for cfg, key in pending:
-            if not _wants_fused(self.mode, cfg):
-                out.extend(scalar.execute([(cfg, key)], metrics))
-                continue
-            t_cfg = time.time()
-            result = run_fused(Runner(cfg))
-            elapsed = time.time() - t_cfg
-            per_run = elapsed / max(1, cfg.runs)
-            records = tuple(
-                replace(rec, worker_id="fused", wall_seconds=per_run)
-                for rec in result.records
-            )
-            out.append(
-                (ExperimentResult(config=cfg, records=records), elapsed)
-            )
-        return out
+def require_auto_fusion(mode: str) -> None:
+    """Reject a fused mode other than ``"auto"``: the benchmark-harness
+    spelling of the routing :func:`fuses` applies unconditionally."""
+    if mode != "auto":
+        raise ConfigurationError(
+            f"fused mode {mode!r} no longer exists: eligible multi-run "
+            f"configs always fuse (the only accepted value is 'auto')"
+        )
 
 
 #: Per-worker-process table of constructed runners (config key -> Runner).
@@ -295,24 +279,18 @@ def _execute_config_fused(
     """Worker entry point: simulate *all* runs of *config* fused.
 
     The fused engine batches the whole rep axis, so a fused config is one
-    pool task rather than ``runs`` interleaved run tasks.  Returns the
-    provenance-stamped result, the worker's start wall time (for
-    queue-wait telemetry) and the elapsed simulation wall time.
+    pool task rather than ``runs`` interleaved run tasks.  Records carry
+    the same ``pid<N>`` stamp as run tasks, so distinct stamps count
+    worker processes.  Returns the stamped result, the worker's start
+    wall time (for queue-wait telemetry) and the elapsed simulation wall
+    time.
     """
-    from repro.sim.fused import run_fused
-
     t_started = time.time()
     runner = _WORKER_RUNNERS.get(key)
     if runner is None:
         runner = _WORKER_RUNNERS[key] = Runner(config)
-    result = run_fused(runner)
-    elapsed = time.time() - t_started
-    per_run = elapsed / max(1, config.runs)
-    records = tuple(
-        replace(rec, worker_id=f"fused-pid{os.getpid()}", wall_seconds=per_run)
-        for rec in result.records
-    )
-    return ExperimentResult(config=config, records=records), t_started, elapsed
+    result, elapsed = _simulate_fused(runner, f"pid{os.getpid()}", t_started)
+    return result, t_started, elapsed
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -334,15 +312,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        persistent: bool = False,
-        fused: str = "off",
-    ):
+    def __init__(self, jobs: int | None = None, persistent: bool = False):
         self.jobs = resolve_jobs(jobs)
         self.persistent = persistent
-        self.fused = normalize_fused(fused)
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
@@ -381,11 +353,7 @@ class ProcessPoolBackend(ExecutionBackend):
         # fused-eligible configs batch their whole rep axis in one worker
         # task; the rest interleave round-robin by run index so every
         # config makes progress from the start instead of queueing FIFO
-        fused_idx = {
-            i
-            for i, (cfg, _key) in enumerate(pending)
-            if _wants_fused(self.fused, cfg)
-        }
+        fused_idx = {i for i, (cfg, _key) in enumerate(pending) if fuses(cfg)}
         tasks = sorted(
             (run, i, cfg, key)
             for i, (cfg, key) in enumerate(pending)
@@ -527,41 +495,27 @@ def make_backend(
     name: str | None = "auto",
     jobs: int | None = 1,
     shard: tuple[int, int] | None = None,
-    fused: str | None = "off",
 ) -> ExecutionBackend | None:
     """Build a backend from CLI-shaped knobs.
 
     ``name`` is one of :func:`available_backends`; ``auto`` (or ``None``)
     resolves to :class:`SerialBackend` for one worker and
-    :class:`ProcessPoolBackend` otherwise — with no *shard* and fusion
-    off, ``auto`` returns ``None`` so callers keep the sweep's own
-    default path.  *fused* (``auto``/``on``/``off``) routes eligible
-    configs through the fused rep-axis engine: serial execution becomes a
-    :class:`FusedBackend`, pooled execution submits whole-config fused
-    tasks.  *shard* wraps the chosen backend in a :class:`ShardedBackend`.
+    :class:`ProcessPoolBackend` otherwise — with no *shard*, ``auto``
+    returns ``None`` so callers keep the sweep's own default, which is
+    that same choice.  *shard* wraps the chosen backend in a
+    :class:`ShardedBackend`.
     """
     name = "auto" if name is None else name
-    fused = normalize_fused(fused)
     if name not in _BACKEND_NAMES:
         raise ConfigurationError(
             f"unknown backend {name!r}; choose from {_BACKEND_NAMES}"
         )
-    if name == "auto" and shard is None and fused == "off":
+    if name == "auto" and shard is None:
         return None
-
-    def serial_like() -> ExecutionBackend:
-        return SerialBackend() if fused == "off" else FusedBackend(fused)
-
-    if name == "serial":
-        inner: ExecutionBackend = serial_like()
-    elif name == "process":
-        inner = ProcessPoolBackend(jobs, fused=fused)
-    else:  # auto
-        inner = (
-            serial_like()
-            if resolve_jobs(jobs) == 1
-            else ProcessPoolBackend(jobs, fused=fused)
-        )
+    if name == "serial" or (name == "auto" and resolve_jobs(jobs) == 1):
+        inner: ExecutionBackend = SerialBackend()
+    else:
+        inner = ProcessPoolBackend(jobs)
     if shard is None:
         return inner
     shard_index, shard_count = shard

@@ -41,11 +41,9 @@ from typing import Sequence
 from repro.errors import HarnessError
 from repro.harness.backend import (
     ExecutionBackend,
-    FusedBackend,
     ProcessPoolBackend,
     SerialBackend,
     ShardedBackend,
-    normalize_fused,
     resolve_jobs,
 )
 from repro.harness.cache import ResultCache, cache_key
@@ -83,12 +81,6 @@ class Sweep:
         ``None`` (the default), *jobs* picks one:
         :class:`~repro.harness.backend.SerialBackend` for one worker,
         :class:`~repro.harness.backend.ProcessPoolBackend` otherwise.
-    fused:
-        Fused rep-axis engine mode (``"auto"``/``"on"``/``"off"``, see
-        :mod:`repro.sim.fused`); consulted only when no explicit
-        *backend* is given.  Fused and scalar execution are
-        byte-identical; fusion only changes how fast eligible configs
-        simulate.
     """
 
     def __init__(
@@ -97,17 +89,10 @@ class Sweep:
         cache: ResultCache | None = None,
         metrics: MetricsRegistry | None = None,
         backend: ExecutionBackend | None = None,
-        fused: str = "off",
     ):
         if backend is None:
             n = resolve_jobs(jobs)
-            fused = normalize_fused(fused)
-            if n == 1:
-                backend = (
-                    SerialBackend() if fused == "off" else FusedBackend(fused)
-                )
-            else:
-                backend = ProcessPoolBackend(n, fused=fused)
+            backend = SerialBackend() if n == 1 else ProcessPoolBackend(n)
         self.backend = backend
         self.jobs = backend.workers
         self.cache = cache
@@ -287,12 +272,9 @@ class ParallelRunner:
         cache: ResultCache | None = None,
         metrics: MetricsRegistry | None = None,
         backend: ExecutionBackend | None = None,
-        fused: str = "off",
     ):
         self.config = config
-        self._sweep = Sweep(
-            jobs=jobs, cache=cache, metrics=metrics, backend=backend, fused=fused
-        )
+        self._sweep = Sweep(jobs=jobs, cache=cache, metrics=metrics, backend=backend)
 
     @property
     def jobs(self) -> int:

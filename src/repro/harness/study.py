@@ -51,7 +51,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.errors import HarnessError
-from repro.harness.backend import ExecutionBackend
+from repro.harness.backend import ExecutionBackend, require_auto_fusion
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.parallel import Sweep
@@ -295,18 +295,15 @@ class Study:
         cache: ResultCache | None = None,
         metrics: MetricsRegistry | None = None,
         backend: "ExecutionBackend | None" = None,
-        fused: str = "off",
+        fused: str = "auto",
     ) -> "StudyResult":
         """Execute every selected config through one shared
         :class:`~repro.harness.parallel.Sweep`; bit-identical for any
-        ``jobs`` (or *backend*, or *fused* mode) and replayable from
-        *cache*.
+        ``jobs`` (or *backend*) and replayable from *cache*.
 
         *backend* selects the execution mechanism explicitly (see
         :mod:`repro.harness.backend`); without one, *jobs* picks serial
-        or process-pool execution and *fused* (``"auto"``/``"on"``/
-        ``"off"``) routes eligible configs through the fused rep-axis
-        engine (:mod:`repro.sim.fused`).  A sharded backend executes only
+        or process-pool execution.  A sharded backend executes only
         this worker's shard and raises
         :class:`~repro.harness.shard.ShardRunComplete` after writing its
         manifest — assemble the shards with :meth:`gather`.
@@ -316,16 +313,19 @@ class Study:
         down per swept axis: every config's wall time is observed into an
         ``axis_wall_seconds{axis=..., value=...}`` histogram per axis it
         belongs to, so slow axis values stand out in the telemetry report.
+
+        *fused* accepts only ``"auto"``: the end-to-end benchmark harness
+        (``e2ebench/``) still passes it, and it is removed together with
+        that call.
         """
+        require_auto_fusion(fused)
         configs = self.configs()
         if not configs:
             raise HarnessError(
                 f"study {self.name!r} selects no configurations "
                 f"(empty axes or an unsatisfiable where() filter)"
             )
-        sweep = Sweep(
-            jobs=jobs, cache=cache, metrics=metrics, backend=backend, fused=fused
-        )
+        sweep = Sweep(jobs=jobs, cache=cache, metrics=metrics, backend=backend)
         results = sweep.run(configs)
         if metrics is not None:
             for name in self.axis_names():

@@ -60,7 +60,7 @@ from dataclasses import fields as _dataclass_fields
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError, HarnessError, JobSpecError
-from repro.harness.backend import FUSED_MODES, available_backends, parse_shard
+from repro.harness.backend import available_backends, parse_shard
 from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.study import Study
@@ -81,10 +81,10 @@ _AXIS_KINDS = ("grid", "zip", "cases")
 
 _SWEEP_KEYS = frozenset({
     "kind", "base", "axes", "derive", "where", "reps",
-    "name", "description", "backend", "shard", "fused",
+    "name", "description", "backend", "shard",
 })
 _EXPERIMENT_KEYS = frozenset({
-    "kind", "experiment", "runs", "reps", "seed", "backend", "shard", "fused",
+    "kind", "experiment", "runs", "reps", "seed", "backend", "shard",
 })
 
 
@@ -304,14 +304,6 @@ def validate_spec(spec: Any) -> dict:
         except ConfigurationError as exc:
             raise JobSpecError(f"job spec field 'shard': {exc}") from None
         out["shard"] = str(shard)
-    if spec.get("fused") is not None:
-        fused = spec["fused"]
-        if fused not in FUSED_MODES:
-            raise JobSpecError(
-                f"job spec field 'fused': expected one of {FUSED_MODES}, "
-                f"got {fused!r}"
-            )
-        out["fused"] = fused
     if spec.get("reps") is not None:
         out["reps"] = _require_int(spec["reps"], "reps")
 

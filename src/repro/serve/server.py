@@ -45,7 +45,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import JobSpecError, ReproError, ServiceError
 from repro.harness.backend import (
-    FusedBackend,
     ProcessPoolBackend,
     SerialBackend,
     ShardedBackend,
@@ -258,16 +257,11 @@ class JobService:
 
     def _job_backend(self, spec: dict):
         """The backend one job runs on.  'serial' opts out of the pool;
-        a 'fused' mode routes the job through an in-process
-        :class:`FusedBackend` (byte-identical, batched rep axis);
         everything else multiplexes over the shared backend; a shard
         wraps it (sharding partitions by cache key, so the wrapper is
         stateless)."""
-        fused = spec.get("fused", "off") or "off"
         if spec.get("backend") == "serial":
             inner = SerialBackend()
-        elif fused != "off":
-            inner = FusedBackend(fused)
         else:
             inner = self.backend
         if spec.get("shard"):

@@ -10,11 +10,11 @@ arithmetic, not an approximation.  The lock is enforced at three levels:
   scalar per-run streams, and :class:`~repro.sim.intervals.IntervalBatch`
   row sums are bit-equal to per-set scalar overlap;
 * whole runs — ``run_fused`` vs ``Runner.run`` across benchmark shapes,
-  plus the registered-experiment golden files rendered through
-  :class:`~repro.harness.backend.FusedBackend`;
-* plumbing — eligibility refusals, automatic scalar fallback, the
-  ``fused=`` knob on :class:`~repro.harness.study.Study` /
-  :func:`~repro.harness.backend.make_backend`, and job-spec validation.
+  plus the registered-experiment golden files and the CLI sweep exports
+  rendered through the default execution path, which fuses every config
+  :func:`~repro.harness.backend.fuses` routes to the fused engine;
+* plumbing — eligibility refusals, the one routing rule and its
+  provenance stamps, and the benchmark-harness ``FusedBackend`` shim.
 """
 
 from pathlib import Path
@@ -23,20 +23,22 @@ import numpy as np
 import pytest
 
 from golden_kwargs import GOLDEN_KWARGS
+from repro.cli import _build_parser, _build_sweep_study, main
 from repro.errors import ConfigurationError
 from repro.harness import ExperimentConfig, Study
 from repro.harness.backend import (
     FusedBackend,
     SerialBackend,
+    fuses,
     make_backend,
-    normalize_fused,
 )
 from repro.harness.experiments import EXPERIMENTS
+from repro.harness.parallel import Sweep
 from repro.harness.runner import Runner
 from repro.obs.tracer import SpanTracer
 from repro.rng import RngFactory
-from repro.serve.jobspec import JobSpecError, validate_spec
 from repro.sim.fused import FUSED_BENCHMARKS, fused_ineligibility, run_fused
+from scalar_reference import ScalarReferenceBackend
 from repro.sim.intervals import IntervalBatch, IntervalSet
 
 
@@ -180,6 +182,18 @@ class TestRunFusedByteIdentity:
         fused = run_fused(Runner(ExperimentConfig(**kwargs)))
         assert fused.to_dict() == scalar.to_dict()
 
+    def test_single_run_fused_equals_scalar(self):
+        # the routing rule never fuses runs=1 (no rep axis to batch), but
+        # the engine itself must still agree on a one-row plane
+        cfg = ExperimentConfig(runs=1, benchmark_params={"outer_reps": 2})
+        assert not fuses(cfg)
+        scalar = Runner(cfg).run()
+        assert run_fused(Runner(cfg)).to_dict() == scalar.to_dict()
+
+
+def _worker_ids(result):
+    return {rec.worker_id for res in result.results for rec in res.records}
+
 
 class TestBackends:
     BASE = ExperimentConfig(
@@ -189,85 +203,128 @@ class TestBackends:
 
     def test_fused_backend_matches_serial_and_stamps_provenance(self):
         study = Study(self.BASE).grid(num_threads=[2, 4])
-        serial = study.run()
-        fused = study.run(backend=FusedBackend("on"))
+        fused = study.run()
+        reference = study.run(backend=ScalarReferenceBackend())
         assert [r.to_dict() for r in fused.results] == [
-            r.to_dict() for r in serial.results
+            r.to_dict() for r in reference.results
         ]
-        assert {
-            rec.worker_id for res in fused.results for rec in res.records
-        } == {"fused"}
+        # eligible multi-run configs take the fused engine by default
+        assert _worker_ids(fused) == {"fused"}
 
     def test_ineligible_configs_fall_back_to_scalar(self):
         cfg = ExperimentConfig(benchmark="taskbench", runs=2)
         study = Study(cfg)
-        fused = study.run(backend=FusedBackend("on"))
-        serial = study.run()
-        assert [r.to_dict() for r in fused.results] == [
-            r.to_dict() for r in serial.results
+        default = study.run()
+        reference = study.run(backend=ScalarReferenceBackend())
+        assert [r.to_dict() for r in default.results] == [
+            r.to_dict() for r in reference.results
         ]
         # provenance says the scalar engine ran it
-        assert {rec.worker_id for rec in fused[0].records} == {"main"}
+        assert _worker_ids(default) == {"main"}
 
     def test_auto_mode_skips_single_run_configs(self):
+        # the routing rule (the former "auto" mode) never fuses runs=1
         study = Study(ExperimentConfig(runs=1, benchmark_params={"outer_reps": 2}))
-        auto = study.run(backend=FusedBackend("auto"))
-        assert {rec.worker_id for rec in auto[0].records} == {"main"}
-        forced = study.run(backend=FusedBackend("on"))
-        assert {rec.worker_id for rec in forced[0].records} == {"fused"}
-        assert auto[0].to_dict() == forced[0].to_dict()
+        assert _worker_ids(study.run()) == {"main"}
+
+    def test_routing_is_one_rule_of_the_config(self):
+        assert fuses(self.BASE)
+        assert not fuses(ExperimentConfig(runs=1))
+        assert not fuses(ExperimentConfig(benchmark="taskbench", runs=2))
+        assert not fuses(ExperimentConfig(proc_bind="false", places=None, runs=2))
 
     def test_study_run_fused_knob(self):
+        # Study.run keeps accepting the benchmark harness's "auto"
+        # spelling; the routing is the default either way
         study = Study(self.BASE).grid(num_threads=[2, 4])
-        assert [r.to_dict() for r in study.run(fused="on").results] == [
+        assert [r.to_dict() for r in study.run(fused="auto").results] == [
             r.to_dict() for r in study.run().results
         ]
+        for mode in ("on", "off"):
+            with pytest.raises(ConfigurationError, match="no longer exists"):
+                study.run(fused=mode)
 
     def test_make_backend_routes_fused(self):
-        assert make_backend("auto", jobs=1, fused="off") is None
-        backend = make_backend("auto", jobs=1, fused="auto")
-        assert isinstance(backend, FusedBackend)
-        # an explicit fused mode wins over the serial spelling: both run
-        # in-process, and FusedBackend falls back to scalar per config
-        assert isinstance(make_backend("serial", jobs=1, fused="on"), FusedBackend)
-        assert isinstance(make_backend("serial", jobs=1, fused="off"), SerialBackend)
-
-    def test_normalize_fused_validates(self):
-        assert normalize_fused(None) == "off"
-        assert normalize_fused("auto") == "auto"
-        with pytest.raises(ConfigurationError, match="fused"):
-            normalize_fused("sometimes")
+        assert type(make_backend("serial", jobs=1)) is SerialBackend
+        assert type(Sweep(jobs=1).backend) is SerialBackend
+        # the default backends fuse: no option is needed to get there
+        for backend in (make_backend("serial"), Sweep().backend):
+            (result, _wall), = backend.execute([(self.BASE, "key")])
+            assert {rec.worker_id for rec in result.records} == {"fused"}
 
     def test_fused_backend_rejects_off(self):
-        with pytest.raises(ConfigurationError):
-            FusedBackend("off")
+        assert isinstance(FusedBackend("auto"), SerialBackend)
+        for mode in ("off", "on", None):
+            with pytest.raises(ConfigurationError, match="no longer exists"):
+                FusedBackend(mode)
 
 
 class TestGoldenLockFused:
-    """Every registered experiment, rendered through the fused backend,
-    reproduces the committed pre-Study golden files byte-for-byte — the
-    same lock the scalar engine answers to in test_study.py."""
+    """Every registered experiment, rendered through the default
+    execution path (which fuses eligible configs), reproduces the
+    committed pre-Study golden files byte-for-byte — the same lock the
+    scalar reference backend answers to in test_study.py."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_KWARGS))
     def test_driver_matches_golden_under_fused_backend(self, name):
         golden = (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
-        artifact = EXPERIMENTS[name].driver(
-            jobs=1, backend=FusedBackend("on"), **GOLDEN_KWARGS[name]
-        )
+        artifact = EXPERIMENTS[name].driver(jobs=1, **GOLDEN_KWARGS[name])
         assert artifact.render() + "\n" == golden
 
     def test_lock_covers_every_registered_driver(self):
         assert set(GOLDEN_KWARGS) == set(EXPERIMENTS)
 
 
-class TestJobSpecFused:
-    def _spec(self, **extra):
-        return {"base": {"runs": 2}, "axes": [], **extra}
+#: The CLI sweep the byte-identity checks below run.
+SWEEP_ARGV = [
+    "sweep", "--platform", "vera", "--grid", "num_threads=2,4",
+    "--runs", "4", "--reps", "5",
+]
 
-    def test_fused_mode_is_accepted_and_normalized(self):
-        out = validate_spec(self._spec(fused="on"))
-        assert out["fused"] == "on"
 
-    def test_bogus_fused_mode_is_rejected(self):
-        with pytest.raises(JobSpecError, match="fused"):
-            validate_spec(self._spec(fused="sometimes"))
+class TestDefaultPathByteIdentity:
+    """The default execution path exports the same bytes as the scalar
+    reference engine, for a fully fused sweep and for a study that mixes
+    eligible and ineligible configs."""
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_cli_sweep_export_matches_scalar_reference(
+        self, tmp_path, capsys, suffix
+    ):
+        study = _build_sweep_study(_build_parser().parse_args(SWEEP_ARGV))
+        assert all(fuses(cfg) for cfg in study.configs())
+        reference = study.run(backend=ScalarReferenceBackend())
+        out = tmp_path / f"sweep{suffix}"
+        assert main(SWEEP_ARGV + ["--out", str(out)]) == 0
+        expected = (
+            reference.to_json_text() if suffix == ".json"
+            else reference.to_csv_text()
+        )
+        assert out.read_bytes() == expected.encode()
+        default = study.run()
+        assert _worker_ids(default) == {"fused"}
+        assert default.to_json_text() == reference.to_json_text()
+        assert default.to_csv_text() == reference.to_csv_text()
+
+    def test_figure8_fallback_render_matches_scalar_reference(self, capsys):
+        # figure8 is all taskbench, which never fuses: the whole render
+        # takes the scalar fallback of the default path
+        spec = EXPERIMENTS["figure8"]
+        kwargs = dict(runs=2, seed=42, **{k: 3 for k in spec.rep_params})
+        assert not any(fuses(cfg) for cfg in spec.build_study(**kwargs).configs())
+        reference = spec.driver(backend=ScalarReferenceBackend(), **kwargs)
+        assert main(["experiment", "figure8", "--runs", "2", "--reps", "3"]) == 0
+        assert capsys.readouterr().out == reference.render() + "\n"
+
+    def test_mixed_eligibility_study_matches_scalar_reference(self):
+        study = Study(
+            ExperimentConfig(
+                platform="vera", num_threads=2, runs=2,
+                benchmark_params={"outer_reps": 3},
+            )
+        ).grid(benchmark=["syncbench", "taskbench"])
+        assert [fuses(cfg) for cfg in study.configs()] == [True, False]
+        default = study.run()
+        reference = study.run(backend=ScalarReferenceBackend())
+        assert default.to_json_text() == reference.to_json_text()
+        assert default.to_csv_text() == reference.to_csv_text()

@@ -321,9 +321,16 @@ class TestMetrics:
 
 class TestWorkerStamping:
     def test_serial_sweep_stamps_main(self):
-        res = Sweep(jobs=1).run([_cfg(runs=2)])[0]
+        # the scalar engine's stamp; unbound teams never fuse
+        res = Sweep(jobs=1).run([_cfg(runs=2, proc_bind="false", places=None)])[0]
         for rec in res.records:
             assert rec.worker_id == "main"
+            assert rec.wall_seconds is not None and rec.wall_seconds >= 0
+
+    def test_serial_sweep_stamps_fused_configs(self):
+        res = Sweep(jobs=1).run([_cfg(runs=2)])[0]
+        for rec in res.records:
+            assert rec.worker_id == "fused"
             assert rec.wall_seconds is not None and rec.wall_seconds >= 0
 
     def test_pool_sweep_stamps_worker_pids(self):
@@ -382,10 +389,14 @@ class TestSweepMetrics:
 
     def test_pool_utilization_recorded(self):
         metrics = MetricsRegistry()
-        Sweep(jobs=2, metrics=metrics).run([_cfg(runs=2)])
+        # one fused whole-config task plus two run tasks of an unbound
+        # (never fused) config: one queue wait per pool task
+        Sweep(jobs=2, metrics=metrics).run(
+            [_cfg(runs=2), _cfg(runs=2, proc_bind="false", places=None)]
+        )
         assert 0.0 <= metrics.gauge("pool_utilization").value <= 1.0
         assert metrics.gauge("pool_workers_used").value >= 1
-        assert metrics.histogram("queue_wait_seconds").count == 2
+        assert metrics.histogram("queue_wait_seconds").count == 3
 
     def test_study_axis_walls(self):
         from repro.harness.study import Study

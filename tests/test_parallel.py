@@ -14,7 +14,9 @@ from repro.harness import (
     cache_key,
     experiments,
 )
+from repro.harness.backend import fuses
 from repro.harness.parallel import resolve_jobs
+from repro.obs.metrics import MetricsRegistry
 import repro.harness.runner as runner_mod
 
 
@@ -81,6 +83,20 @@ class TestSweep:
 
     def test_empty_sweep(self):
         assert Sweep(jobs=2).run([]) == []
+
+    def test_pool_workers_used_counts_processes(self):
+        # fused configs go to the pool as whole-config tasks, the rest as
+        # run tasks; one process may run both kinds and counts once
+        configs = [
+            _cfg(benchmark=bench, num_threads=t, runs=4)
+            for bench in ("syncbench", "taskbench")
+            for t in (2, 4)
+        ]
+        assert {fuses(cfg) for cfg in configs} == {True, False}
+        metrics = MetricsRegistry()
+        Sweep(jobs=2, metrics=metrics).run(configs)
+        used = metrics.gauge("pool_workers_used").value
+        assert 1 <= used <= metrics.gauge("pool_workers").value == 2
 
 
 class TestCacheKey:

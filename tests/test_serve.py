@@ -34,6 +34,7 @@ from repro.serve import (
 from repro.serve.client import ServiceClient, parse_sse
 from repro.serve.jobs import job_id_for
 from repro.serve.jobspec import compile_clause, reps_key, spec_fingerprint
+from scalar_reference import ScalarReferenceBackend
 
 
 def canonical_configs(study: Study) -> str:
@@ -520,6 +521,62 @@ class TestServiceEngine:
         # next submission continues the ordinal sequence
         again = reborn.submit(SWEEP_SPEC)
         assert again["seq"] == snap["seq"] + 1
+
+
+class TestFusedRouting:
+    """Job specs carry no engine option: the service routes each config
+    by the same rule as every other entry point."""
+
+    def test_fused_field_is_an_unknown_key(self):
+        with pytest.raises(JobSpecError, match="'fused'") as err:
+            validate_spec({**SWEEP_SPEC, "fused": "on"})
+        assert "unknown key" in str(err.value)
+
+    def test_persisted_spec_with_fused_field_still_loads(self, tmp_path):
+        # job files are not re-validated on load, so history written
+        # while specs could carry the field survives a restart
+        store = JobStore(tmp_path)
+        job = Job(job_id="j0001-abc", seq=1,
+                  spec={**SWEEP_SPEC, "fused": "on"}, fingerprint="abc")
+        job.transition("running")
+        job.transition("done")
+        store.save(job)
+        loaded = JobStore(tmp_path).load_all()["j0001-abc"]
+        assert loaded.state == "done" and loaded.spec["fused"] == "on"
+        reborn = JobService(tmp_path)  # governor never started
+        assert reborn.get_job("j0001-abc").state == "done"
+
+    def test_default_service_fuses_and_matches_local_study(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sim import fused
+
+        fused_configs = []
+        run_fused = fused.run_fused
+
+        def counting(runner):
+            fused_configs.append(runner.config)
+            return run_fused(runner)
+
+        # the backends look the engine up on its module at call time
+        monkeypatch.setattr(fused, "run_fused", counting)
+        svc = JobService(tmp_path / "state", workers=1)  # default jobs=1
+        svc.start()
+        try:
+            snap = svc.submit(SWEEP_SPEC)
+            events = list(svc.get_job(snap["job_id"]).events_from(0))
+            assert events[-1]["event"] == "done"
+            served_json = svc.records_text(snap["job_id"])
+            served_csv = svc.records_text(snap["job_id"], "csv")
+        finally:
+            svc.stop()
+        study = spec_to_study(validate_spec(SWEEP_SPEC))
+        assert len(fused_configs) == len(study.configs()) == 2
+        local = study.run()
+        assert served_json == local.to_json_text()
+        assert served_csv == local.to_csv_text()
+        reference = study.run(backend=ScalarReferenceBackend())
+        assert served_json == reference.to_json_text()
 
 
 # ---------------------------------------------------------------------------

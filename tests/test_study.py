@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from golden_kwargs import GOLDEN_KWARGS
+from scalar_reference import ScalarReferenceBackend
 from repro.errors import HarnessError
 from repro.harness import ExperimentConfig, ResultCache, Study
 from repro.harness.experiments import EXPERIMENTS
@@ -311,12 +312,18 @@ class TestReportSatellites:
 
 class TestGoldenArtifacts:
     """Every rewritten driver renders byte-identically to the pre-Study
-    drivers (renders captured in tests/golden/ before the refactor)."""
+    drivers (renders captured in tests/golden/ before the refactor).
+
+    Rendered through the scalar reference backend, so the scalar engine
+    stays golden-locked on its own; ``test_fused.py`` locks the default
+    path, which fuses eligible configs, to the same files."""
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_KWARGS))
     def test_driver_matches_pre_refactor_render(self, name):
         golden = (Path(__file__).parent / "golden" / f"{name}.txt").read_text()
-        artifact = EXPERIMENTS[name].driver(jobs=1, **GOLDEN_KWARGS[name])
+        artifact = EXPERIMENTS[name].driver(
+            jobs=1, backend=ScalarReferenceBackend(), **GOLDEN_KWARGS[name]
+        )
         assert artifact.render() + "\n" == golden
 
     def test_goldens_cover_every_registered_driver(self):
