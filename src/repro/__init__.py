@@ -52,7 +52,6 @@ _LAZY_ATTRS = {
     "WorkStealingScheduler": ("repro.omp.tasking", "WorkStealingScheduler"),
     "ExperimentConfig": ("repro.harness", "ExperimentConfig"),
     "Runner": ("repro.harness", "Runner"),
-    "ParallelRunner": ("repro.harness", "ParallelRunner"),
     "Sweep": ("repro.harness", "Sweep"),
     "Study": ("repro.harness", "Study"),
     "StudyResult": ("repro.harness", "StudyResult"),

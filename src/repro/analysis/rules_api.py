@@ -1,6 +1,6 @@
 """API-surface rules: API001 (experiment drivers must be registered).
 
-The CLI, the bench harness and CI discover experiments exclusively
+The CLI, the job service and CI discover experiments exclusively
 through the registry (``repro.harness.experiments.EXPERIMENTS``); a
 driver that is written but not decorated simply does not exist to any
 user-facing surface.
@@ -47,7 +47,7 @@ class DriverRegistration(Rule):
     id = "API001"
     title = "experiment drivers must register via @experiment"
     rationale = (
-        "repro-omp list/experiment, the bench harness and the CI smokes "
+        "repro-omp list/experiment, the job service and the CI smokes "
         "all walk the experiment registry; a public driver function that "
         "is not decorated with @experiment is unreachable from every one "
         "of those surfaces — it will silently rot."
@@ -74,6 +74,6 @@ class DriverRegistration(Rule):
         report(
             node,
             f"public driver {node.name!r} returns ExperimentArtifact but "
-            f"is not registered via @experiment — the CLI, bench harness "
+            f"is not registered via @experiment — the CLI, job service "
             f"and CI cannot reach it",
         )

@@ -87,7 +87,7 @@ from pathlib import Path
 
 from repro.bench.registry import available_benchmarks
 from repro.errors import ReproError
-from repro.harness.backend import available_backends, make_backend, parse_shard
+from repro.harness.backend import ShardedBackend, parse_shard, select_backend
 from repro.harness.cache import ResultCache
 from repro.harness.config import ExperimentConfig
 from repro.harness.experiments import (
@@ -95,7 +95,7 @@ from repro.harness.experiments import (
     available_experiments,
     get_experiment,
 )
-from repro.harness.parallel import ParallelRunner
+from repro.harness.parallel import Sweep
 from repro.harness.report import (
     render_group_summaries,
     render_shard_summary,
@@ -110,16 +110,11 @@ from repro.platform import available_platforms, get_platform
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """--jobs / --backend / --shard / --cache-dir / --no-cache, shared by
-    experiment, run and sweep."""
+    """--jobs / --shard / --cache-dir / --no-cache, shared by experiment,
+    run and sweep."""
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the run fan-out (0 = all cores; default 1)",
-    )
-    parser.add_argument(
-        "--backend", choices=available_backends(), default="auto",
-        help="execution backend (default auto: serial for --jobs 1, a "
-             "process pool otherwise; see docs/distributed.md)",
     )
     parser.add_argument(
         "--shard", default=None, metavar="I/N",
@@ -160,11 +155,13 @@ def _make_cache(args: argparse.Namespace) -> ResultCache | None:
     return ResultCache(args.cache_dir)
 
 
-def _make_backend(args: argparse.Namespace):
-    """The ExecutionBackend the --backend/--shard/--jobs flags ask for
-    (``None`` keeps the Sweep's own jobs-based default)."""
-    shard = parse_shard(args.shard) if args.shard is not None else None
-    return make_backend(args.backend, jobs=args.jobs, shard=shard)
+def _execution_backend(args: argparse.Namespace):
+    """The ExecutionBackend --jobs picks, wrapped as one shard of a
+    partition under --shard."""
+    backend = select_backend(args.jobs)
+    if args.shard is None:
+        return backend
+    return ShardedBackend(*parse_shard(args.shard), backend)
 
 
 def _finish_obs(args: argparse.Namespace, configs, metrics) -> None:
@@ -426,27 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cache_gc.add_argument("--cache-dir", required=True, metavar="DIR")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="measure engine throughput (events/sec) and record the "
-             "numbers to a JSON report",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="~10x smaller workloads (CI smoke)",
-    )
-    p_bench.add_argument(
-        "--out", default="BENCH_engine.json", metavar="PATH",
-        help="where to write the JSON report (default: BENCH_engine.json); "
-             "the prior report's numbers are preserved in its append-only "
-             "trajectory list instead of being clobbered",
-    )
-    p_bench.add_argument(
-        "--stamp", default=None, metavar="LABEL",
-        help="label (date, commit id, ...) recorded with this report's "
-             "trajectory entry",
-    )
-
     p_lint = sub.add_parser(
         "lint",
         help="static determinism & hot-path contract checks "
@@ -617,9 +593,8 @@ def _cmd_experiment(name: str, args: argparse.Namespace) -> int:
     spec = get_experiment(name)
     kwargs: dict = {
         "seed": args.seed,
-        "jobs": args.jobs,
         "cache": _make_cache(args),
-        "backend": _make_backend(args),
+        "backend": _execution_backend(args),
     }
     if args.runs is not None:
         kwargs["runs"] = args.runs
@@ -637,10 +612,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     config = _config_from_args(args)
     metrics = MetricsRegistry()
-    result = ParallelRunner(
-        config, jobs=args.jobs, cache=_make_cache(args), metrics=metrics,
-        backend=_make_backend(args),
-    ).run()
+    result = Sweep(
+        cache=_make_cache(args), metrics=metrics, backend=_execution_backend(args)
+    ).run([config])[0]
     time_labels, metric_labels = split_tasking_labels(result.labels())
     for label in time_labels:
         print(result.report(label).render())
@@ -731,8 +705,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 0
     metrics = MetricsRegistry()
     result = study.run(
-        jobs=args.jobs, cache=_make_cache(args), metrics=metrics,
-        backend=_make_backend(args),
+        cache=_make_cache(args), metrics=metrics, backend=_execution_backend(args)
     )
     _render_sweep_report(args, result)
     _finish_obs(args, list(result.configs), metrics)
@@ -894,38 +867,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.sim.bench import run_benchmarks, write_report
-
-    report = run_benchmarks(quick=args.quick)
-    report = write_report(report, args.out, stamp=args.stamp)
-    eng = report["engine"]
-    smoke = report["figure8_smoke"]
-    print("engine throughput (events/sec):")
-    print(f"  callbacks:     {eng['callback_events_per_sec']:>12,}")
-    print(f"  processes:     {eng['process_events_per_sec']:>12,}")
-    print(f"  cancel churn:  {eng['cancel_churn_events_per_sec']:>12,}")
-    print(
-        f"figure8 smoke:   {smoke['events_per_sec']:>12,} "
-        f"({smoke['events']} simulated events in {smoke['wall_seconds']:.3f}s)"
-    )
-    fusion = report.get("rep_fusion")
-    if fusion:
-        print(
-            f"rep fusion:      {fusion['fused_runs_per_sec']:>12,.1f} runs/sec fused "
-            f"vs {fusion['scalar_runs_per_sec']:,.1f} scalar "
-            f"({fusion['speedup']:.2f}x, R={fusion['runs']} byte-identical)"
-        )
-    for key, factor in report.get("speedup_vs_baseline", {}).items():
-        print(f"  {factor:5.2f}x vs recorded baseline: {key}")
-    n_prior = len(report.get("trajectory", []))
-    print(
-        f"report written to {args.out} "
-        f"({n_prior} prior measurement(s) kept in its trajectory)"
-    )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import JobService, create_http_server
 
@@ -1027,8 +968,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_gather(args)
         if args.command == "cache":
             return _cmd_cache(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "lint":
             return _cmd_lint(args)
         if args.command == "serve":

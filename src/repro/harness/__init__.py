@@ -6,12 +6,12 @@ Turns configurations into results:
   configuration (platform, threads, binding, repetitions, seed);
 * :class:`~repro.harness.runner.Runner` — executes N independent runs,
   optionally with the frequency logger on a spare core;
-* :class:`~repro.harness.parallel.ParallelRunner` /
-  :class:`~repro.harness.parallel.Sweep` — fan runs (of one or many
-  configs) out over a pluggable execution backend, bit-identical to
-  serial execution;
-* :mod:`repro.harness.backend` — the execution backends (serial,
-  process pool, one shard of a distributed partition);
+* :class:`~repro.harness.parallel.Sweep` — fan the runs of many configs
+  out over a pluggable execution backend, bit-identical to serial
+  execution;
+* :mod:`repro.harness.backend` — the execution backends (serial or
+  process pool, picked by the job count; one shard of a distributed
+  partition);
 * :mod:`repro.harness.shard` — shard manifests and the gather step that
   assembles a sharded run into one study result;
 * :class:`~repro.harness.study.Study` /
@@ -32,14 +32,14 @@ from repro.harness.backend import (
     ProcessPoolBackend,
     SerialBackend,
     ShardedBackend,
-    make_backend,
     parse_shard,
+    select_backend,
     shard_index_of,
 )
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.freqlogger import FrequencyLog, FrequencyLogger
-from repro.harness.parallel import ParallelRunner, Sweep
+from repro.harness.parallel import Sweep
 from repro.harness.results import ExperimentResult, RunRecord
 from repro.harness.runner import Runner
 from repro.harness.shard import ReplayCache, ShardRunComplete, ShardSummary
@@ -50,7 +50,6 @@ from repro.harness import report
 __all__ = [
     "ExperimentConfig",
     "Runner",
-    "ParallelRunner",
     "Sweep",
     "Study",
     "StudyResult",
@@ -61,8 +60,8 @@ __all__ = [
     "ShardRunComplete",
     "ShardSummary",
     "ReplayCache",
-    "make_backend",
     "parse_shard",
+    "select_backend",
     "shard_index_of",
     "ResultCache",
     "cache_key",

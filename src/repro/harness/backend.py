@@ -9,13 +9,16 @@ of simulating the configurations that missed the cache to an
 * :class:`ProcessPoolBackend` — fan work out over a
   ``ProcessPoolExecutor``: a fused config as one whole-config task, the
   rest as individual runs interleaved round-robin by run index;
-* :class:`ShardedBackend` — execute only the configurations assigned to
-  one shard of a distributed run, delegating the actual simulation to an
-  inner backend.  Every shard worker computes the same partition from the
-  configs' cache keys alone (see :func:`shard_index_of`), so N workers on
-  N hosts cover a study exactly once with no coordination beyond a shared
-  cache directory (see :mod:`repro.harness.shard` and
+* :class:`ShardedBackend` — mark a sweep as one shard of a distributed
+  run: the sweep executes only the configurations assigned to the shard,
+  on an inner backend.  Every shard worker computes the same partition
+  from the configs' cache keys alone (see :func:`shard_index_of`), so N
+  workers on N hosts cover a study exactly once with no coordination
+  beyond a shared cache directory (see :mod:`repro.harness.shard` and
   docs/distributed.md).
+
+The job count alone picks between the first two (:func:`select_backend`);
+a shard wraps that choice.
 
 All backends produce results *bit-identical* to serial execution: a
 backend only decides where and in what order runs simulate, never what
@@ -39,10 +42,11 @@ import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import TYPE_CHECKING, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, HarnessError
 from repro.harness.config import ExperimentConfig
 from repro.harness.results import ExperimentResult, RunRecord
 from repro.harness.runner import Runner
@@ -56,11 +60,10 @@ __all__ = [
     "ProcessPoolBackend",
     "SerialBackend",
     "ShardedBackend",
-    "available_backends",
     "fuses",
-    "make_backend",
     "parse_shard",
     "resolve_jobs",
+    "select_backend",
     "shard_index_of",
 ]
 
@@ -156,18 +159,13 @@ class ExecutionBackend:
     """Protocol: simulate a batch of cache-missed configurations.
 
     :meth:`execute` receives ``(config, cache_key)`` pairs and returns a
-    list aligned with its input: each element is an
-    ``(ExperimentResult, wall_seconds)`` tuple for a config this backend
-    executed, or ``None`` for a config it deliberately skipped (only
-    :class:`ShardedBackend` skips; whole-batch backends never return
-    ``None``).  ``wall_seconds`` is telemetry — the wall time the
-    config's simulation consumed (summed across workers for pooled
-    execution) — and never flows into results or cache keys.
+    list aligned with its input of ``(ExperimentResult, wall_seconds)``
+    tuples.  ``wall_seconds`` is telemetry — the wall time the config's
+    simulation consumed (summed across workers for pooled execution) —
+    and never flows into results or cache keys.
     """
 
-    #: Display name (CLI ``--backend`` value for constructible backends).
-    name: str = "abstract"
-    #: Whether this backend executes only a subset of its input batch.
+    #: Whether this backend marks a sweep as one shard of a partition.
     is_sharded: bool = False
 
     @property
@@ -179,7 +177,7 @@ class ExecutionBackend:
         self,
         pending: Sequence[tuple[ExperimentConfig, str]],
         metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
+    ) -> list[tuple[ExperimentResult, float]]:
         raise NotImplementedError
 
 
@@ -193,14 +191,12 @@ class SerialBackend(ExecutionBackend):
     serialized): both engines produce byte-identical results.
     """
 
-    name = "serial"
-
     def execute(
         self,
         pending: Sequence[tuple[ExperimentConfig, str]],
         metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
-        out: list[tuple[ExperimentResult, float] | None] = []
+    ) -> list[tuple[ExperimentResult, float]]:
+        out: list[tuple[ExperimentResult, float]] = []
         for cfg, _key in pending:
             t_cfg = time.time()
             runner = Runner(cfg)
@@ -307,10 +303,14 @@ class ProcessPoolBackend(ExecutionBackend):
     jobs share a single pool instead of each paying pool startup and
     oversubscribing the host.  ``submit`` on a ``ProcessPoolExecutor`` is
     thread-safe, so concurrent ``execute`` calls interleave safely; only
-    the lazy construction needs the lock.
-    """
+    the lazy construction and replacement need the lock.
 
-    name = "process"
+    A worker that dies mid-batch (killed, e.g. by the OOM killer) breaks
+    the whole executor.  The broken pool is replaced and the batch
+    retried once — a run's result is a pure function of its config and
+    index, so the retry produces the same bytes; a second break raises
+    :class:`~repro.errors.HarnessError`.
+    """
 
     def __init__(self, jobs: int | None = None, persistent: bool = False):
         self.jobs = resolve_jobs(jobs)
@@ -336,6 +336,15 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._pool = ProcessPoolExecutor(max_workers=self.jobs)
             return self._pool, False
 
+    def _discard_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Drop a broken persistent executor so the next batch builds a
+        fresh one.  Concurrent batches that hit the same break drop it
+        once: a pool already replaced is left alone."""
+        with self._pool_lock:
+            if self._pool is broken:
+                self._pool = None
+        broken.shutdown(wait=True)
+
     def close(self) -> None:
         """Shut down the persistent executor (no-op for per-batch pools)."""
         with self._pool_lock:
@@ -347,7 +356,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         pending: Sequence[tuple[ExperimentConfig, str]],
         metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
+    ) -> list[tuple[ExperimentResult, float]]:
         if not pending:
             return []
         # fused-eligible configs batch their whole rep axis in one worker
@@ -362,76 +371,93 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         n_tasks = len(tasks) + len(fused_idx)
         max_workers = min(self.jobs, n_tasks)
-        m = metrics
-        out: list[tuple[ExperimentResult, float] | None] = [None] * len(pending)
         t_pool = time.time()
-        pool, owned = self._acquire_pool(n_tasks)
-        try:
-            submits: dict[tuple[int, int], float] = {}
-            futures = {}
-            fused_submits: dict[int, float] = {}
-            fused_futures = {}
-            for i in sorted(fused_idx):
-                cfg, key = pending[i]
-                fused_submits[i] = time.time()
-                fused_futures[i] = pool.submit(_execute_config_fused, key, cfg)
-            for run, i, cfg, key in tasks:
-                submits[(i, run)] = time.time()
-                futures[(i, run)] = pool.submit(_execute_run, key, cfg, run)
-            for i, (cfg, _key) in enumerate(pending):
-                if i in fused_idx:
-                    result, t_started, elapsed = fused_futures[i].result()
-                    if m is not None:
-                        m.histogram("queue_wait_seconds").observe(
-                            max(0.0, t_started - fused_submits[i])
-                        )
-                    out[i] = (result, elapsed)
-                    continue
-                records = []
-                for run in range(cfg.runs):
-                    record, t_started = futures[(i, run)].result()
-                    records.append(record)
-                    if m is not None:
-                        m.histogram("queue_wait_seconds").observe(
-                            max(0.0, t_started - submits[(i, run)])
-                        )
-                result = ExperimentResult(config=cfg, records=tuple(records))
-                # pooled configs report the CPU time their runs consumed
-                # (run walls overlap across workers, so elapsed is not it)
-                out[i] = (result, sum(r.wall_seconds or 0.0 for r in records))
-        finally:
-            if owned:
-                pool.shutdown(wait=True)
+        for attempt in (1, 2):
+            pool, owned = self._acquire_pool(n_tasks)
+            try:
+                out, queue_waits = _run_batch(pool, pending, fused_idx, tasks)
+                break
+            except BrokenProcessPool as exc:
+                if not owned:
+                    self._discard_pool(pool)
+                if attempt == 2:
+                    raise HarnessError(
+                        f"process pool broke twice on a batch of "
+                        f"{len(pending)} config(s): a worker process died "
+                        f"(killed or out of memory) in the replacement pool too"
+                    ) from exc
+            finally:
+                if owned:
+                    pool.shutdown(wait=True)
+        m = metrics
         if m is not None:
+            for wait in queue_waits:
+                m.histogram("queue_wait_seconds").observe(wait)
             elapsed = time.time() - t_pool
-            busy = sum(outcome[1] for outcome in out if outcome is not None)
+            busy = sum(wall for _result, wall in out)
             m.gauge("pool_elapsed_seconds").set(elapsed)
             m.gauge("pool_utilization").set(
                 min(1.0, busy / (elapsed * max_workers)) if elapsed > 0 else 0.0
             )
-            used = {
-                rec.worker_id
-                for outcome in out
-                if outcome is not None
-                for rec in outcome[0].records
-            }
+            used = {rec.worker_id for result, _wall in out for rec in result.records}
             m.gauge("pool_workers_used").set(len(used))
         return out
 
 
-class ShardedBackend(ExecutionBackend):
-    """Execute only the configs assigned to shard ``shard_index`` of
-    ``shard_count``, delegating the simulation to *inner*.
+def _run_batch(
+    pool: ProcessPoolExecutor,
+    pending: Sequence[tuple[ExperimentConfig, str]],
+    fused_idx: set[int],
+    tasks: list[tuple[int, int, ExperimentConfig, str]],
+) -> tuple[list[tuple[ExperimentResult, float]], list[float]]:
+    """Submit one batch to *pool* and collect it in input order.
 
-    Assignment is :func:`shard_index_of` over each config's cache key —
-    a pure content hash, so independent workers running the same study
-    with ``--shard 0/N`` .. ``--shard N-1/N`` partition it exactly, in
-    any order, on any host.  Skipped configs come back as ``None``; the
-    sweep layer writes a shard manifest and stops instead of returning
-    partial results (see :mod:`repro.harness.shard`).
+    Returns the per-config outcomes and every task's queue wait (worker
+    start minus submit time), in collection order.
+    """
+    submits: dict[tuple[int, int], float] = {}
+    futures = {}
+    fused_submits: dict[int, float] = {}
+    fused_futures = {}
+    for i in sorted(fused_idx):
+        cfg, key = pending[i]
+        fused_submits[i] = time.time()
+        fused_futures[i] = pool.submit(_execute_config_fused, key, cfg)
+    for run, i, cfg, key in tasks:
+        submits[(i, run)] = time.time()
+        futures[(i, run)] = pool.submit(_execute_run, key, cfg, run)
+    out: list[tuple[ExperimentResult, float]] = []
+    queue_waits: list[float] = []
+    for i, (cfg, _key) in enumerate(pending):
+        if i in fused_idx:
+            result, t_started, elapsed = fused_futures[i].result()
+            queue_waits.append(max(0.0, t_started - fused_submits[i]))
+            out.append((result, elapsed))
+            continue
+        records = []
+        for run in range(cfg.runs):
+            record, t_started = futures[(i, run)].result()
+            records.append(record)
+            queue_waits.append(max(0.0, t_started - submits[(i, run)]))
+        result = ExperimentResult(config=cfg, records=tuple(records))
+        # pooled configs report the CPU time their runs consumed
+        # (run walls overlap across workers, so elapsed is not it)
+        out.append((result, sum(r.wall_seconds or 0.0 for r in records)))
+    return out, queue_waits
+
+
+class ShardedBackend(ExecutionBackend):
+    """Mark a sweep as shard ``shard_index`` of ``shard_count``.
+
+    The sweep executes only the configs this shard :meth:`assigns`, on
+    *inner*, then writes a shard manifest and stops instead of returning
+    partial results (see :mod:`repro.harness.shard`).  Assignment is
+    :func:`shard_index_of` over each config's cache key — a pure content
+    hash, so independent workers running the same study with ``--shard
+    0/N`` .. ``--shard N-1/N`` partition it exactly, in any order, on any
+    host.
     """
 
-    name = "sharded"
     is_sharded = True
 
     def __init__(
@@ -468,55 +494,14 @@ class ShardedBackend(ExecutionBackend):
         """Whether the config with cache *key* belongs to this shard."""
         return shard_index_of(key, self.shard_count) == self.shard_index
 
-    def execute(
-        self,
-        pending: Sequence[tuple[ExperimentConfig, str]],
-        metrics: "MetricsRegistry | None" = None,
-    ) -> list[tuple[ExperimentResult, float] | None]:
-        mine = [
-            (i, pair) for i, pair in enumerate(pending) if self.assigns(pair[1])
-        ]
-        inner_out = self.inner.execute([pair for _i, pair in mine], metrics)
-        out: list[tuple[ExperimentResult, float] | None] = [None] * len(pending)
-        for (i, _pair), outcome in zip(mine, inner_out):
-            out[i] = outcome
-        return out
 
-
-#: ``--backend`` choices: ``auto`` picks serial for jobs=1, process otherwise.
-_BACKEND_NAMES = ("auto", "serial", "process")
-
-
-def available_backends() -> tuple[str, ...]:
-    return _BACKEND_NAMES
-
-
-def make_backend(
-    name: str | None = "auto",
-    jobs: int | None = 1,
-    shard: tuple[int, int] | None = None,
-) -> ExecutionBackend | None:
-    """Build a backend from CLI-shaped knobs.
-
-    ``name`` is one of :func:`available_backends`; ``auto`` (or ``None``)
-    resolves to :class:`SerialBackend` for one worker and
-    :class:`ProcessPoolBackend` otherwise — with no *shard*, ``auto``
-    returns ``None`` so callers keep the sweep's own default, which is
-    that same choice.  *shard* wraps the chosen backend in a
-    :class:`ShardedBackend`.
-    """
-    name = "auto" if name is None else name
-    if name not in _BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown backend {name!r}; choose from {_BACKEND_NAMES}"
-        )
-    if name == "auto" and shard is None:
-        return None
-    if name == "serial" or (name == "auto" and resolve_jobs(jobs) == 1):
-        inner: ExecutionBackend = SerialBackend()
-    else:
-        inner = ProcessPoolBackend(jobs)
-    if shard is None:
-        return inner
-    shard_index, shard_count = shard
-    return ShardedBackend(shard_index, shard_count, inner)
+def select_backend(
+    jobs: int | None = 1, *, persistent: bool = False
+) -> ExecutionBackend:
+    """The backend a job count asks for: :class:`SerialBackend` for one
+    worker, a :class:`ProcessPoolBackend` (``persistent`` as given)
+    otherwise.  ``None``/``0`` mean every core (:func:`resolve_jobs`)."""
+    jobs = resolve_jobs(jobs)
+    if jobs == 1:
+        return SerialBackend()
+    return ProcessPoolBackend(jobs, persistent=persistent)

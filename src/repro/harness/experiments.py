@@ -4,7 +4,7 @@ Every public function regenerates one artifact of the evaluation section
 and returns an :class:`ExperimentArtifact` carrying both structured data
 (for assertions and further analysis) and an ASCII rendering (the
 "figure").  Default arguments are the paper's scale (10 runs x 100
-repetitions); tests and the pytest-benchmark harness pass reduced values.
+repetitions); tests and the benchmark pass reduced values.
 
 Every driver declares its sweep as a :class:`~repro.harness.study.Study`:
 the axes (``grid`` / ``zip`` / ``cases``), derived fields and filters
@@ -46,7 +46,7 @@ runtime_compare  vendor (libgomp/libomp) x wait-policy x threads, both
 ========  ==================================================================
 
 Drivers register themselves through the :func:`experiment` decorator; the
-CLI (``repro-omp list`` / ``repro-omp experiment``) and the bench harness
+CLI (``repro-omp list`` / ``repro-omp experiment``) and the job service
 discover them from the registry, so a new driver needs no dispatch edits
 anywhere else.
 """
@@ -138,7 +138,7 @@ class ExperimentSpec:
 EXPERIMENTS: dict[str, ExperimentSpec] = {}
 
 #: Legacy name -> driver view of the registry (kept for callers that only
-#: need the callable, e.g. the bench harness).
+#: need the callable).
 ALL_EXPERIMENTS: dict[str, Callable[..., ExperimentArtifact]] = {}
 
 _REP_PARAM_NAMES = ("outer_reps", "num_times")
@@ -1245,7 +1245,7 @@ def runtime_compare(
     Runs syncbench's BARRIER and PARALLEL micro-benchmarks — the two
     constructs whose costs are pure runtime policy — under every
     (vendor, wait-policy) combination.  The qualitative expectations
-    (asserted by ``benchmarks/bench_runtime_compare.py``):
+    (asserted by ``tests/test_paper_shapes.py::test_runtime_compare``):
 
     * the vendors' barrier algorithms diverge with the team size: libomp's
       hyper barrier needs fewer serialized rounds than libgomp's

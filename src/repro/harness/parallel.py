@@ -9,21 +9,15 @@ reconstructs the platform + runtime from the (picklable) config and executes
 single runs by index, and the parent reassembles records in run order.  The
 output is therefore *bit-identical* to the serial :class:`Runner`.
 
-Two entry points:
-
-* :class:`ParallelRunner` — drop-in parallel counterpart of
-  :class:`~repro.harness.runner.Runner` for one config
-  (``jobs=1`` degenerates to the serial runner);
-* :class:`Sweep` — schedules many configs through one
-  :class:`~repro.harness.backend.ExecutionBackend`, with an optional
-  :class:`~repro.harness.cache.ResultCache` consulted per config before any
-  simulation is scheduled.
-
-:class:`Sweep` owns batch *policy* — cache lookups, write-back, result
-ordering, telemetry — and delegates the *mechanism* of simulating
-cache-missed configs to its backend (:mod:`repro.harness.backend`):
-serial in-process, a shared process pool interleaved round-robin by run
-index, or one shard of a distributed partition.  A sharded sweep commits
+:class:`Sweep` schedules configs through one
+:class:`~repro.harness.backend.ExecutionBackend`, with an optional
+:class:`~repro.harness.cache.ResultCache` consulted per config before any
+simulation is scheduled.  It owns batch *policy* — cache lookups,
+write-back, result ordering, telemetry — and delegates the *mechanism*
+of simulating cache-missed configs to its backend
+(:mod:`repro.harness.backend`): serial in-process or a shared process
+pool interleaved round-robin by run index, run for the whole batch or
+for one shard of a distributed partition.  A sharded sweep commits
 its shard's results plus a shard manifest to the cache and then raises
 :class:`~repro.harness.shard.ShardRunComplete` instead of returning — a
 shard has no complete result set to hand back (see
@@ -41,10 +35,9 @@ from typing import Sequence
 from repro.errors import HarnessError
 from repro.harness.backend import (
     ExecutionBackend,
-    ProcessPoolBackend,
-    SerialBackend,
     ShardedBackend,
     resolve_jobs,
+    select_backend,
 )
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.config import ExperimentConfig
@@ -52,7 +45,7 @@ from repro.harness.results import ExperimentResult
 from repro.harness.shard import ShardRunComplete, ShardSummary, write_shard_manifest
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["ParallelRunner", "Sweep", "resolve_jobs"]
+__all__ = ["Sweep", "resolve_jobs"]
 
 
 class Sweep:
@@ -78,9 +71,8 @@ class Sweep:
         byte-identical with or without it.
     backend:
         Explicit :class:`~repro.harness.backend.ExecutionBackend`.  When
-        ``None`` (the default), *jobs* picks one:
-        :class:`~repro.harness.backend.SerialBackend` for one worker,
-        :class:`~repro.harness.backend.ProcessPoolBackend` otherwise.
+        ``None`` (the default), *jobs* picks one
+        (:func:`~repro.harness.backend.select_backend`).
     """
 
     def __init__(
@@ -91,8 +83,7 @@ class Sweep:
         backend: ExecutionBackend | None = None,
     ):
         if backend is None:
-            n = resolve_jobs(jobs)
-            backend = SerialBackend() if n == 1 else ProcessPoolBackend(n)
+            backend = select_backend(jobs)
         self.backend = backend
         self.jobs = backend.workers
         self.cache = cache
@@ -144,7 +135,11 @@ class Sweep:
         self.last_config_walls = walls
         if self.metrics is not None:
             self._record_metrics(
-                self.metrics, len(configs), pending, results, walls, cache_before
+                self.metrics,
+                len(configs),
+                len(configs) - len(pending),
+                [(results[i], walls[i]) for i, _cfg, _key in pending],
+                cache_before,
             )
         return results  # type: ignore[return-value]
 
@@ -178,42 +173,25 @@ class Sweep:
             if backend.assigns(key):
                 assigned.append((i, cfg, key))
 
-        pending: list[tuple[int, ExperimentConfig, str]] = []
-        for i, cfg, key in assigned:
-            if cache.get(cfg) is None:
-                pending.append((i, cfg, key))
-
+        pending = [
+            (cfg, key) for _i, cfg, key in assigned if cache.get(cfg) is None
+        ]
         m = self.metrics
-        if pending:
-            outcomes = backend.execute(
-                [(cfg, key) for _i, cfg, key in pending], m
-            )
-            for (_i, _cfg, _key), outcome in zip(pending, outcomes):
-                result, wall = outcome
-                cache.put(result)
-                if m is not None:
-                    m.histogram("config_wall_seconds").observe(wall)
-                    for rec in result.records:
-                        if rec.wall_seconds is not None:
-                            m.histogram("run_wall_seconds").observe(
-                                rec.wall_seconds
-                            )
+        outcomes = backend.inner.execute(pending, m) if pending else []
+        for result, _wall in outcomes:
+            cache.put(result)
 
         if m is not None:
+            self._record_metrics(
+                m, len(configs), len(assigned) - len(pending), outcomes,
+                cache_before,
+            )
             label = backend.label
-            m.gauge("pool_workers").set(backend.workers)
-            m.counter("configs_total").inc(len(configs))
-            m.counter("configs_simulated").inc(len(pending))
-            m.counter("configs_cached").inc(len(assigned) - len(pending))
             m.counter("shard_configs_assigned", shard=label).inc(len(assigned))
             m.counter("shard_configs_simulated", shard=label).inc(len(pending))
             m.counter("shard_configs_cached", shard=label).inc(
                 len(assigned) - len(pending)
             )
-            h0, mi0, s0 = cache_before
-            m.counter("cache_hits").inc(cache.hits - h0)
-            m.counter("cache_misses").inc(cache.misses - mi0)
-            m.counter("cache_stores").inc(cache.stores - s0)
 
         manifest = write_shard_manifest(
             cache,
@@ -236,18 +214,20 @@ class Sweep:
         self,
         m: MetricsRegistry,
         n_configs: int,
-        pending: list[tuple[int, ExperimentConfig, str]],
-        results: list[ExperimentResult | None],
-        walls: list[float],
+        n_cached: int,
+        simulated: list[tuple[ExperimentResult, float]],
         cache_before: tuple[int, int, int] | None,
     ) -> None:
+        """Record one batch: config counts, the wall time of every
+        simulated config and run, and the cache traffic since
+        *cache_before*."""
         m.gauge("pool_workers").set(self.jobs)
         m.counter("configs_total").inc(n_configs)
-        m.counter("configs_simulated").inc(len(pending))
-        m.counter("configs_cached").inc(n_configs - len(pending))
-        for i, _cfg, _key in pending:
-            m.histogram("config_wall_seconds").observe(walls[i])
-            for rec in results[i].records:
+        m.counter("configs_simulated").inc(len(simulated))
+        m.counter("configs_cached").inc(n_cached)
+        for result, wall in simulated:
+            m.histogram("config_wall_seconds").observe(wall)
+            for rec in result.records:
                 if rec.wall_seconds is not None:
                     m.histogram("run_wall_seconds").observe(rec.wall_seconds)
         if cache_before is not None and self.cache is not None:
@@ -255,30 +235,3 @@ class Sweep:
             m.counter("cache_hits").inc(self.cache.hits - h0)
             m.counter("cache_misses").inc(self.cache.misses - mi0)
             m.counter("cache_stores").inc(self.cache.stores - s0)
-
-
-class ParallelRunner:
-    """Parallel counterpart of :class:`~repro.harness.runner.Runner`.
-
-    Fans the runs of one :class:`ExperimentConfig` out over a process pool;
-    ``ParallelRunner(cfg, jobs=1).run()`` is exactly ``Runner(cfg).run()``
-    and any ``jobs`` produces bit-identical results (see module docstring).
-    """
-
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        jobs: int | None = 1,
-        cache: ResultCache | None = None,
-        metrics: MetricsRegistry | None = None,
-        backend: ExecutionBackend | None = None,
-    ):
-        self.config = config
-        self._sweep = Sweep(jobs=jobs, cache=cache, metrics=metrics, backend=backend)
-
-    @property
-    def jobs(self) -> int:
-        return self._sweep.jobs
-
-    def run(self) -> ExperimentResult:
-        return self._sweep.run([self.config])[0]

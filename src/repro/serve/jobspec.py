@@ -3,7 +3,7 @@
 A job spec is a plain JSON object describing either a declarative sweep
 (the full :class:`~repro.harness.study.Study` surface: base config,
 ``grid`` / ``zip`` / ``cases`` axes, ``derive`` / ``where`` clauses,
-``reps``, backend and shard selection) or a registered experiment by
+``reps``, shard selection) or a registered experiment by
 name.  :func:`validate_spec` checks it strictly — every error names the
 offending field — and :func:`spec_to_study` builds the exact Study the
 CLI's ``repro-omp sweep`` flags would build, so a job submitted over
@@ -60,7 +60,7 @@ from dataclasses import fields as _dataclass_fields
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigurationError, HarnessError, JobSpecError
-from repro.harness.backend import available_backends, parse_shard
+from repro.harness.backend import parse_shard
 from repro.harness.cache import cache_key
 from repro.harness.config import ExperimentConfig
 from repro.harness.study import Study
@@ -81,10 +81,10 @@ _AXIS_KINDS = ("grid", "zip", "cases")
 
 _SWEEP_KEYS = frozenset({
     "kind", "base", "axes", "derive", "where", "reps",
-    "name", "description", "backend", "shard",
+    "name", "description", "shard",
 })
 _EXPERIMENT_KEYS = frozenset({
-    "kind", "experiment", "runs", "reps", "seed", "backend", "shard",
+    "kind", "experiment", "runs", "reps", "seed", "shard",
 })
 
 
@@ -289,14 +289,6 @@ def validate_spec(spec: Any) -> dict:
             )
 
     out: dict[str, Any] = {"kind": kind}
-    if spec.get("backend") is not None:
-        backend = spec["backend"]
-        if backend not in available_backends():
-            raise JobSpecError(
-                f"job spec field 'backend': expected one of "
-                f"{available_backends()}, got {backend!r}"
-            )
-        out["backend"] = backend
     if spec.get("shard") is not None:
         shard = spec["shard"]
         try:

@@ -44,13 +44,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import JobSpecError, ReproError, ServiceError
-from repro.harness.backend import (
-    ProcessPoolBackend,
-    SerialBackend,
-    ShardedBackend,
-    parse_shard,
-    resolve_jobs,
-)
+from repro.harness.backend import ShardedBackend, parse_shard, select_backend
 from repro.harness.cache import ResultCache, cache_key
 from repro.harness.parallel import Sweep
 from repro.harness.shard import ShardRunComplete
@@ -100,12 +94,8 @@ class JobService:
         self._seq = self.store.next_seq(self.jobs)
         self._lock = threading.RLock()
         self.workers = workers
-        self.pool_jobs = resolve_jobs(jobs)
-        self.backend = (
-            SerialBackend()
-            if self.pool_jobs == 1
-            else ProcessPoolBackend(self.pool_jobs, persistent=True)
-        )
+        self.backend = select_backend(jobs, persistent=True)
+        self.pool_jobs = self.backend.workers
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
         self.queue = JobQueue(self.jobs)
@@ -256,18 +246,12 @@ class JobService:
     # -- execution ---------------------------------------------------------
 
     def _job_backend(self, spec: dict):
-        """The backend one job runs on.  'serial' opts out of the pool;
-        everything else multiplexes over the shared backend; a shard
-        wraps it (sharding partitions by cache key, so the wrapper is
-        stateless)."""
-        if spec.get("backend") == "serial":
-            inner = SerialBackend()
-        else:
-            inner = self.backend
+        """The backend one job runs on: the shared backend, wrapped when
+        the spec names a shard (sharding partitions by cache key, so the
+        wrapper is stateless)."""
         if spec.get("shard"):
-            index, count = parse_shard(spec["shard"])
-            return ShardedBackend(index, count, inner)
-        return inner
+            return ShardedBackend(*parse_shard(spec["shard"]), self.backend)
+        return self.backend
 
     def _telemetry_snapshot(self, metrics: MetricsRegistry) -> dict:
         return {

@@ -15,8 +15,6 @@ from repro.harness.runner import Runner
 class ScalarReferenceBackend(ExecutionBackend):
     """Simulate every pending config in-process on the scalar engine."""
 
-    name = "scalar-reference"
-
     def execute(self, pending, metrics=None):
         out = []
         for cfg, _key in pending:

@@ -1101,8 +1101,9 @@ class TestSelfLint:
         )
 
     def test_committed_baseline_entries_all_have_reasons(self):
+        # the baseline may be empty (no exceptions is the goal); every
+        # entry it does hold must say why
         baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        assert baseline.entries, "committed baseline should not be empty"
         for entry in baseline.entries:
             assert entry.reason.strip()
 

@@ -109,6 +109,23 @@ class TestRun:
         assert rc == 1
         assert "KEY=VALUE" in capsys.readouterr().err
 
+    def test_backend_flag_is_rejected(self, capsys):
+        # --jobs alone picks the backend
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--platform", "toy", "--benchmark", "syncbench",
+                "--threads", "4", "--runs", "1", "--backend", "serial",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+    def test_bench_command_is_rejected(self, capsys):
+        # e2ebench/ is the one benchmark
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestParamCoercion:
     """--param / --grid values coerce numbers, booleans and None."""
@@ -277,76 +294,3 @@ class TestSweepDryRun:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert [row["cached"] for row in data["configs"]] == [False, False]
-
-
-class TestBenchReport:
-    """The bench report writer: baseline carry rules shared by the CLI
-    and benchmarks/bench_engine.py."""
-
-    def _report(self, quick=False):
-        return {
-            "schema": 1,
-            "quick": quick,
-            "engine": {"callback_events_per_sec": 400},
-            "figure8_smoke": {"reps": 30, "events": 10, "events_per_sec": 200},
-        }
-
-    def _baseline_file(self, tmp_path, quick=False):
-        import json
-
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps({
-            "baseline_pre_overhaul": {
-                "quick": quick,
-                "engine": {"callback_events_per_sec": 100},
-                "figure8_smoke": {"events_per_sec": 100},
-            },
-        }))
-        return path
-
-    def test_baseline_carried_and_speedups_recomputed(self, tmp_path):
-        import json
-
-        from repro.sim.bench import write_report
-
-        path = self._baseline_file(tmp_path, quick=False)
-        report = write_report(self._report(quick=False), path)
-        assert "baseline_pre_overhaul" in report
-        assert report["speedup_vs_baseline"] == {
-            "callback_events_per_sec": 4.0,
-            "figure8_smoke_events_per_sec": 2.0,
-        }
-        on_disk = json.loads(path.read_text())
-        assert on_disk["baseline_pre_overhaul"]["engine"][
-            "callback_events_per_sec"
-        ] == 100
-
-    def test_quick_run_skips_speedups_vs_full_baseline(self, tmp_path):
-        """--quick numbers divided by a full-workload baseline would be
-        apples-to-oranges; the baseline is kept, the ratios are not."""
-        from repro.sim.bench import write_report
-
-        path = self._baseline_file(tmp_path, quick=False)
-        report = write_report(self._report(quick=True), path)
-        assert "baseline_pre_overhaul" in report
-        assert "speedup_vs_baseline" not in report
-
-    def test_missing_or_corrupt_prior_is_fine(self, tmp_path):
-        from repro.sim.bench import write_report
-
-        fresh = tmp_path / "fresh.json"
-        report = write_report(self._report(), fresh)
-        assert "baseline_pre_overhaul" not in report
-        corrupt = tmp_path / "corrupt.json"
-        corrupt.write_text("{not json")
-        report = write_report(self._report(), corrupt)
-        assert "baseline_pre_overhaul" not in report
-
-    def test_cli_bench_command(self, tmp_path, capsys):
-        from repro.cli import main
-
-        out = tmp_path / "report.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        captured = capsys.readouterr().out
-        assert "engine throughput" in captured
-        assert out.exists()

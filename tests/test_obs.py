@@ -431,58 +431,6 @@ class TestRenderTelemetry:
 
 
 # ---------------------------------------------------------------------------
-# Bench trajectory (append-only history)
-# ---------------------------------------------------------------------------
-
-
-class TestBenchTrajectory:
-    REPORT1 = {
-        "schema": 1, "quick": True,
-        "engine": {"callback_events_per_sec": 100},
-        "figure8_smoke": {"events_per_sec": 10},
-    }
-    REPORT2 = {
-        "schema": 1, "quick": True,
-        "engine": {"callback_events_per_sec": 120},
-        "figure8_smoke": {"events_per_sec": 12},
-    }
-
-    def test_history_is_append_only(self, tmp_path):
-        from repro.sim.bench import write_report
-
-        out = tmp_path / "BENCH.json"
-        write_report(dict(self.REPORT1), out, stamp="r1")
-        write_report(dict(self.REPORT2), out, stamp="r2")
-        report3 = write_report(dict(self.REPORT1), out)
-
-        data = json.loads(out.read_text())
-        assert data == report3
-        traj = data["trajectory"]
-        assert [e.get("stamp") for e in traj] == ["r1", "r2"]
-        assert traj[0]["engine"]["callback_events_per_sec"] == 100
-        assert traj[1]["engine"]["callback_events_per_sec"] == 120
-        # the headline numbers are the fresh run's
-        assert data["engine"]["callback_events_per_sec"] == 100
-
-    def test_baseline_still_carried(self, tmp_path):
-        from repro.sim.bench import write_report
-
-        out = tmp_path / "BENCH.json"
-        prior = dict(
-            self.REPORT1,
-            baseline_pre_overhaul={
-                "quick": True, "engine": {"callback_events_per_sec": 50},
-            },
-        )
-        out.write_text(json.dumps(prior))
-        report = write_report(dict(self.REPORT2), out)
-        assert report["baseline_pre_overhaul"]["engine"][
-            "callback_events_per_sec"] == 50
-        assert report["speedup_vs_baseline"]["callback_events_per_sec"] == 2.4
-        assert len(report["trajectory"]) == 1
-
-
-# ---------------------------------------------------------------------------
 # OBS001 — guarded trace emission
 # ---------------------------------------------------------------------------
 

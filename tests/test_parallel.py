@@ -1,20 +1,24 @@
 """Tests for the parallel execution engine and the on-disk result cache."""
 
 import json
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, HarnessError
 from repro.harness import (
     ExperimentConfig,
-    ParallelRunner,
     ResultCache,
     Runner,
     Sweep,
     cache_key,
     experiments,
 )
-from repro.harness.backend import fuses
+from repro.harness.backend import ProcessPoolBackend, SerialBackend, fuses
+import repro.harness.backend as backend_mod
 from repro.harness.parallel import resolve_jobs
 from repro.obs.metrics import MetricsRegistry
 import repro.harness.runner as runner_mod
@@ -45,30 +49,28 @@ class TestResolveJobs:
             resolve_jobs(-2)
 
 
-class TestParallelRunner:
-    def test_jobs1_matches_serial(self):
+class TestSweep:
+    def test_single_config_jobs1_matches_runner(self):
         cfg = _cfg()
-        assert ParallelRunner(cfg, jobs=1).run().to_dict() == Runner(cfg).run().to_dict()
+        assert Sweep(jobs=1).run([cfg])[0].to_dict() == Runner(cfg).run().to_dict()
 
-    def test_parallel_bit_identical_to_serial(self):
+    def test_single_config_jobs4_bit_identical_to_runner(self):
         """jobs=4 must reproduce the serial runner byte for byte."""
         cfg = _cfg(runs=4)
         serial = Runner(cfg).run().to_dict()
-        parallel = ParallelRunner(cfg, jobs=4).run().to_dict()
+        parallel = Sweep(jobs=4).run([cfg])[0].to_dict()
         assert json.dumps(parallel, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
-    def test_parallel_bit_identical_with_freq_logging(self):
+    def test_bit_identical_with_freq_logging(self):
         cfg = _cfg(runs=2, freq_logging=True, logger_cpu=14)
         serial = Runner(cfg).run().to_dict()
-        parallel = ParallelRunner(cfg, jobs=2).run().to_dict()
+        parallel = Sweep(jobs=2).run([cfg])[0].to_dict()
         assert parallel == serial
 
     def test_records_come_back_in_run_order(self):
-        result = ParallelRunner(_cfg(runs=5), jobs=3).run()
+        result = Sweep(jobs=3).run([_cfg(runs=5)])[0]
         assert [rec.run_index for rec in result.records] == list(range(5))
 
-
-class TestSweep:
     def test_many_configs_match_individual_runs(self):
         configs = [_cfg(), _cfg(seed=18), _cfg(benchmark="babelstream",
                                                benchmark_params={"num_times": 3})]
@@ -97,6 +99,64 @@ class TestSweep:
         Sweep(jobs=2, metrics=metrics).run(configs)
         used = metrics.gauge("pool_workers_used").value
         assert 1 <= used <= metrics.gauge("pool_workers").value == 2
+
+
+class _AlwaysBrokenPool:
+    """Executor stand-in whose every submit finds the pool broken."""
+
+    built = 0
+
+    def __init__(self, max_workers):
+        type(self).built += 1
+
+    def submit(self, *args, **kwargs):
+        raise BrokenProcessPool("a worker process died")
+
+    def shutdown(self, wait=True):
+        pass
+
+
+class TestBrokenPool:
+    """A pool worker that dies mid-service ends in a correct retry, or
+    in a named error when the replacement pool breaks too."""
+
+    @staticmethod
+    def _dumps(outcomes):
+        return [json.dumps(r.to_dict(), sort_keys=True) for r, _wall in outcomes]
+
+    def test_killed_worker_is_replaced_and_batch_matches_serial(self):
+        # one fused (whole-config) task and one run-task config
+        configs = [_cfg(runs=3), _cfg(num_threads=2, runs=1)]
+        assert [fuses(cfg) for cfg in configs] == [True, False]
+        pending = [(cfg, cache_key(cfg)) for cfg in configs]
+        serial = self._dumps(SerialBackend().execute(pending))
+        backend = ProcessPoolBackend(2, persistent=True)
+        try:
+            assert self._dumps(backend.execute(pending)) == serial
+            pool = backend._pool
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not pool._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert pool._broken
+            assert self._dumps(backend.execute(pending)) == serial
+            assert backend._pool is not pool
+            assert self._dumps(backend.execute(pending)) == serial
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    def test_replacement_pool_breaking_too_is_a_named_error(
+        self, monkeypatch, persistent
+    ):
+        monkeypatch.setattr(backend_mod, "ProcessPoolExecutor", _AlwaysBrokenPool)
+        monkeypatch.setattr(_AlwaysBrokenPool, "built", 0)
+        backend = ProcessPoolBackend(2, persistent=persistent)
+        cfg = _cfg()
+        with pytest.raises(HarnessError, match="process pool broke twice"):
+            backend.execute([(cfg, cache_key(cfg))])
+        assert _AlwaysBrokenPool.built == 2
+        assert backend._pool is None
 
 
 class TestCacheKey:
@@ -256,13 +316,13 @@ class TestResultCache:
     def test_second_invocation_served_without_simulation(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         cfg = _cfg()
-        first = ParallelRunner(cfg, jobs=1, cache=cache).run()
+        first = Sweep(cache=cache).run([cfg])[0]
 
         def boom(self, run_index):
             raise AssertionError("simulated despite warm cache")
 
         monkeypatch.setattr(runner_mod.Runner, "run_one", boom)
-        second = ParallelRunner(cfg, jobs=1, cache=cache).run()
+        second = Sweep(cache=cache).run([cfg])[0]
         assert second.to_dict() == first.to_dict()
         assert cache.hits == 1 and cache.stores == 1
 

@@ -579,6 +579,35 @@ class TestFusedRouting:
         assert served_json == reference.to_json_text()
 
 
+class TestBackendSelection:
+    """Job specs carry no backend option: the service's ``--jobs`` picks
+    the one backend every job shares."""
+
+    def test_backend_field_is_an_unknown_key(self):
+        for spec in (
+            {**SWEEP_SPEC, "backend": "serial"},
+            {"kind": "experiment", "experiment": "table2", "backend": "auto"},
+        ):
+            with pytest.raises(JobSpecError, match="'backend'") as err:
+                validate_spec(spec)
+            assert "unknown key" in str(err.value)
+
+    def test_persisted_spec_with_backend_field_still_loads(self, tmp_path):
+        # job files are not re-validated on load, so history written
+        # while specs could carry the field survives a restart
+        store = JobStore(tmp_path)
+        job = Job(job_id="j0001-abc", seq=1,
+                  spec={**SWEEP_SPEC, "backend": "serial"}, fingerprint="abc")
+        job.transition("running")
+        job.transition("done")
+        store.save(job)
+        loaded = JobStore(tmp_path).load_all()["j0001-abc"]
+        assert loaded.state == "done" and loaded.spec["backend"] == "serial"
+        reborn = JobService(tmp_path)  # governor never started
+        assert reborn.get_job("j0001-abc").state == "done"
+        assert reborn._job_backend(loaded.spec) is reborn.backend
+
+
 # ---------------------------------------------------------------------------
 # service end-to-end over HTTP
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ from repro.harness import (
     Sweep,
     cache_key,
     experiments,
-    make_backend,
     parse_shard,
+    select_backend,
     shard_index_of,
 )
-from repro.harness.backend import available_backends
 from repro.harness.shard import (
     ShardSummary,
     load_manifests,
@@ -122,25 +121,41 @@ class TestShardAssignment:
             ShardedBackend(0, 2, inner=ShardedBackend(0, 2))
 
 
-class TestMakeBackend:
-    def test_auto_without_shard_is_none(self):
-        assert make_backend("auto", jobs=1) is None
+class TestSelectBackend:
+    """The job count alone picks the backend; a shard wraps the pick."""
 
-    def test_named_backends(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        pool = make_backend("process", jobs=3)
-        assert isinstance(pool, ProcessPoolBackend) and pool.workers == 3
+    def test_one_job_is_serial(self):
+        assert type(select_backend(1)) is SerialBackend
+        assert type(Sweep(jobs=1).backend) is SerialBackend
 
-    def test_shard_wraps(self):
-        backend = make_backend("auto", jobs=1, shard=(1, 2))
+    def test_more_jobs_build_a_pool(self):
+        pool = select_backend(3)
+        assert isinstance(pool, ProcessPoolBackend)
+        assert pool.workers == 3 and not pool.persistent
+        assert select_backend(3, persistent=True).persistent
+        assert Sweep(jobs=3).backend.workers == 3
+
+    def test_shard_wraps_the_selected_backend(self, tmp_path):
+        import argparse
+
+        from repro.cli import _execution_backend
+        from repro.serve import JobService
+
+        backend = _execution_backend(argparse.Namespace(jobs=1, shard="1/2"))
         assert isinstance(backend, ShardedBackend)
-        assert isinstance(backend.inner, SerialBackend)
+        assert type(backend.inner) is SerialBackend
         assert backend.label == "1/2"
+        pooled = _execution_backend(argparse.Namespace(jobs=2, shard="0/2"))
+        assert isinstance(pooled.inner, ProcessPoolBackend)
+        assert pooled.workers == 2
+        svc = JobService(tmp_path)  # governor never started
+        job_backend = svc._job_backend({"shard": "1/3"})
+        assert job_backend.inner is svc.backend and job_backend.label == "1/3"
+        assert svc._job_backend({}) is svc.backend
 
-    def test_unknown_backend(self):
+    def test_negative_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_backend("mpi")
-        assert "serial" in available_backends()
+            select_backend(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +231,42 @@ class TestShardedRun:
         assigned = exc_info.value.summary.assigned
         counter = metrics.counter("shard_configs_assigned", shard="0/2")
         assert counter.value == assigned
+
+    def test_shard_telemetry_counts_only_assigned_configs(self, tmp_path):
+        study = _study()
+        cache = ResultCache(tmp_path)
+        for simulated in (True, False):  # cold, then replayed from cache
+            metrics = MetricsRegistry()
+            with pytest.raises(ShardRunComplete) as exc_info:
+                study.run(cache=cache, backend=ShardedBackend(0, 2),
+                          metrics=metrics)
+            summary = exc_info.value.summary
+            assigned = summary.assigned
+            assert 0 < assigned < len(study)
+            n_sim = assigned if simulated else 0
+            counters = {
+                (c["name"], c["labels"].get("shard")): c["value"]
+                for c in metrics.to_dict()["counters"]
+            }
+            assert counters == {
+                ("configs_total", None): len(study),
+                ("configs_simulated", None): n_sim,
+                ("configs_cached", None): assigned - n_sim,
+                ("shard_configs_assigned", "0/2"): assigned,
+                ("shard_configs_simulated", "0/2"): n_sim,
+                ("shard_configs_cached", "0/2"): assigned - n_sim,
+                ("cache_hits", None): assigned - n_sim,
+                ("cache_misses", None): n_sim,
+                ("cache_stores", None): n_sim,
+            }
+            assert metrics.gauge("pool_workers").value == 1
+            histograms = {
+                h["name"]: h["count"] for h in metrics.to_dict()["histograms"]
+            }
+            assert histograms == (
+                {"config_wall_seconds": n_sim, "run_wall_seconds": 2 * n_sim}
+                if simulated else {}
+            )
 
 
 class TestGather:

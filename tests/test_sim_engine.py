@@ -250,6 +250,15 @@ class TestNonFiniteRejection:
 
 
 class TestCancellation:
+    def test_cancel_churn_keeps_the_heap_bounded(self):
+        """Cancel-heavy churn must not accumulate dead entries in the heap."""
+        eng = Engine()
+        for i in range(10_000):
+            eng.schedule_at(float(i) + 0.5, lambda: None).cancel()
+        # lazy compaction keeps cancelled entries at most half the queue
+        assert len(eng._queue) <= 2 * max(1, eng.pending)
+        assert eng.pending == 0
+
     def test_cancel_is_idempotent(self):
         eng = Engine()
         seen = []

@@ -21,9 +21,9 @@ from repro.freq.dvfs import FrequencyModel
 from repro.freq.governor import make_governor
 from repro.harness import (
     ExperimentConfig,
-    ParallelRunner,
     ResultCache,
     Runner,
+    Sweep,
     cache_key,
     experiments,
 )
@@ -223,6 +223,43 @@ class TestWorkStealingScheduler:
         assert np.array_equal(a.failed_steals, b.failed_steals)
         assert np.array_equal(a.tasks_executed, b.tasks_executed)
 
+    def test_figure8_smoke_event_count_is_deterministic(self):
+        """The figure8 shape on a real Vera run context (frequency plan,
+        OS noise, 16 threads, grainsize 8): the engine events a run of
+        work-stealing taskloop repetitions executes are part of the
+        determinism contract — a repeat executes exactly as many."""
+
+        def smoke_events(reps=5, threads=16, grainsize=8):
+            params = TaskbenchParams(outer_reps=reps, grainsize=grainsize)
+            runner = Runner(ExperimentConfig(
+                platform="vera", benchmark="taskbench", num_threads=threads,
+                places="cores", proc_bind="close", runs=1, seed=42,
+                benchmark_params={"outer_reps": reps, "grainsize": grainsize},
+            ))
+            horizon = Taskbench(params).horizon_estimate(threads) * 1.5
+            ctx = runner.runtime.start_run(0, runner.rng_factory, horizon)
+            workload = params.build_workload(threads)
+            label = params.label(threads)
+            events = 0
+            for rep in range(reps):
+                streams = [
+                    ctx.stream("taskbench", label, "rep", rep, "thread", i)
+                    for i in range(ctx.team.n_threads)
+                ]
+                scheduler = WorkStealingScheduler(
+                    ctx.team, ctx.runtime.task_cost, ctx.freq_plan,
+                    ctx.noise, streams,
+                )
+                fork = ctx.sync_cost.fork_cost(ctx.team)
+                stats = scheduler.run(workload, t_start=ctx.t + fork)
+                events += stats.events_executed
+                ctx.advance(fork + stats.makespan + params.rep_gap)
+            return events
+
+        first = smoke_events()
+        assert first > 0
+        assert smoke_events() == first
+
     def test_seed_changes_schedule(self):
         team = Team(toy().machine, (0, 2, 4, 6), bound=True)
         tasks = taskloop_tasks(64, 2e-6, grainsize=2, imbalance=0.5)
@@ -356,7 +393,7 @@ class TestTaskbenchThroughHarness:
     def test_parallel_bit_identical_to_serial(self):
         cfg = _task_cfg(runs=4)
         serial = Runner(cfg).run().to_dict()
-        parallel = ParallelRunner(cfg, jobs=4).run().to_dict()
+        parallel = Sweep(jobs=4).run([cfg])[0].to_dict()
         assert json.dumps(parallel, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
     def test_json_round_trip(self):
@@ -383,14 +420,14 @@ class TestTaskingCache:
     def test_cache_round_trip_serves_without_simulation(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         cfg = _task_cfg()
-        first = ParallelRunner(cfg, jobs=1, cache=cache).run()
+        first = Sweep(cache=cache).run([cfg])[0]
         assert cache.stores == 1
 
         def boom(self, run_index):
             raise AssertionError("simulated despite warm cache")
 
         monkeypatch.setattr(runner_mod.Runner, "run_one", boom)
-        second = ParallelRunner(cfg, jobs=1, cache=cache).run()
+        second = Sweep(cache=cache).run([cfg])[0]
         assert second.to_dict() == first.to_dict()
         assert cache.hits == 1
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, HarnessError
-from repro.harness import ExperimentConfig, ParallelRunner, ResultCache, Runner, cache_key
+from repro.harness import ExperimentConfig, ResultCache, Runner, cache_key
 from repro.harness import experiments
 from repro.omp import OMPEnvironment, OpenMPRuntime
 from repro.omp.constructs import SyncCostModel, SyncCostParams
